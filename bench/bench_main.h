@@ -32,11 +32,13 @@
 //      ... print tables from *a and *b ...
 //
 // lambda_for_rho() is the shared n/rho grid arithmetic of the fig5 and
-// ABL-LINE sweeps.  Keeping this header in bench/ (not src/) is
-// deliberate: it is presentation scaffolding over the library's public
-// surface, not library code.
+// ABL-LINE sweeps, and time_ns() the timing loop of the micro_* benches.
+// Keeping this header in bench/ (not src/) is deliberate: it is
+// presentation scaffolding over the library's public surface, not library
+// code.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <optional>
@@ -60,6 +62,28 @@ struct BenchSpec {
 // level for n homogeneous processes: lambda = 2 rho mu / (n - 1).
 inline double lambda_for_rho(std::size_t n, double rho, double mu = 1.0) {
   return 2.0 * rho * mu / (static_cast<double>(n) - 1.0);
+}
+
+// Where time_ns() folds every kernel result, so the optimizer cannot
+// elide the kernel.
+inline volatile double timing_sink = 0.0;
+
+// ns/op of fn over `reps` timed calls, after one untimed warm-up call.
+// Wall-clock, so not deterministic: a bench evaluating through it runs a
+// local backend, never a registered one.
+inline double time_ns(std::size_t reps, const std::function<double()>& fn) {
+  timing_sink = timing_sink + fn();
+  const auto t0 = std::chrono::steady_clock::now();
+  double acc = 0.0;
+  for (std::size_t r = 0; r < reps; ++r) {
+    acc += fn();
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  timing_sink = timing_sink + acc;
+  return static_cast<double>(
+             std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+                 .count()) /
+         static_cast<double>(reps);
 }
 
 using BuildCellsFn =

@@ -7,13 +7,12 @@
 // timed inside a custom EvalBackend, and the numbers come back as
 // ResultSet metrics (value = ns/op, count = repetitions timed).  --nmax
 // picks the largest n, --samples scales the repetition budget.
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <utility>
 #include <vector>
 
-#include "core/api.h"
+#include "bench_main.h"
 #include "runtime/channel.h"
 #include "runtime/checkpoint.h"
 #include "runtime/recovery_block.h"
@@ -23,23 +22,6 @@
 namespace {
 
 using namespace rbx;
-
-volatile double g_sink = 0.0;
-
-double time_ns(std::size_t reps, const std::function<double()>& fn) {
-  g_sink = g_sink + fn();
-  const auto t0 = std::chrono::steady_clock::now();
-  double acc = 0.0;
-  for (std::size_t r = 0; r < reps; ++r) {
-    acc += fn();
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  g_sink = g_sink + acc;
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                 .count()) /
-         static_cast<double>(reps);
-}
 
 // A synthetic interaction/recovery-point history of n processes, the input
 // of the fixpoint and rollback kernels (same construction the old
@@ -78,7 +60,7 @@ class RuntimeMicroBackend final : public EvalBackend {
     ResultSet out(name(), scenario.label());
     const auto set_ns = [&out](const char* metric, std::size_t reps,
                                const std::function<double()>& fn) {
-      out.set(metric, time_ns(reps, fn), 0.0, reps);
+      out.set(metric, bench::time_ns(reps, fn), 0.0, reps);
     };
     const std::size_t budget = scenario.samples();
 

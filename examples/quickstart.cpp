@@ -99,6 +99,6 @@ int main(int argc, char** argv) {
                    TextTable::fmt(rows[k].value("mean_interval_x"), 4),
                    fmt_ci(m.value, m.half_width)});
   }
-  std::printf("%s", table.render("SweepEngine: E[X] vs rho (n = 3)").c_str());
+  std::printf("%s", table.render("Sweep: E[X] vs rho (n = 3)").c_str());
   return 0;
 }

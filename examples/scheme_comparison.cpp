@@ -7,11 +7,9 @@
 //
 // Prints the analytic comparison, Monte-Carlo validation, and a thread
 // runtime shakedown of each scheme - all driven by one Scenario flowing
-// through the three EvalBackends, with the shakedown grid evaluated by
-// SweepEngine.
+// through the three EvalBackends.
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
 #include "core/api.h"
 
@@ -79,25 +77,17 @@ int main(int argc, char** argv) {
   std::printf("asynchronous E[X] monte-carlo: %s\n\n",
               fmt_ci(mc_x.value, mc_x.half_width).c_str());
 
-  // Thread-runtime shakedown of each scheme on this process count: a
-  // one-axis SweepEngine grid over the scheme knob.
+  // Thread-runtime shakedown of each scheme on this process count, one
+  // cell at a time: each runtime cell already spawns n process threads.
   const Scenario shakedown =
       Scenario(scenario).seed(1).at_failure_probability(0.05);
-  const std::vector<SchemeKind> schemes = {
-      SchemeKind::kAsynchronous, SchemeKind::kSynchronized,
-      SchemeKind::kPseudoRecoveryPoints};
-  std::vector<Scenario> cells;
-  for (SchemeKind scheme : schemes) {
-    cells.push_back(Scenario(shakedown).scheme(scheme));
-  }
-  // One worker: each runtime cell already spawns n process threads.
-  const std::vector<ResultSet> reports =
-      SweepEngine({1}).run(cells, runtime_backend());
-  for (std::size_t k = 0; k < reports.size(); ++k) {
-    const ResultSet& r = reports[k];
-    const char* name = schemes[k] == SchemeKind::kAsynchronous
-                           ? "asynchronous"
-                       : schemes[k] == SchemeKind::kSynchronized
+  for (SchemeKind scheme :
+       {SchemeKind::kAsynchronous, SchemeKind::kSynchronized,
+        SchemeKind::kPseudoRecoveryPoints}) {
+    const ResultSet r =
+        runtime_backend().evaluate(Scenario(shakedown).scheme(scheme));
+    const char* name = scheme == SchemeKind::kAsynchronous ? "asynchronous"
+                       : scheme == SchemeKind::kSynchronized
                            ? "synchronized"
                            : "pseudo RPs  ";
     std::printf("runtime %s: %4zu RPs %4zu PRPs %3zu recoveries "

@@ -1,5 +1,8 @@
 #include "core/analytic_backend.h"
 
+#include <pthread.h>
+
+#include <atomic>
 #include <cmath>
 #include <functional>
 #include <string>
@@ -177,6 +180,45 @@ ResultSet AnalyticBackend::evaluate(const Scenario& scenario) const {
     shard.entries.emplace(key, out.metrics());
   }
   return out;
+}
+
+namespace {
+
+// The instance whose stripes the fork handlers hold; pthread_atfork takes
+// plain function pointers, so the handlers find it here.  Atomic because
+// the thread that registers is rarely the one that forks: the release
+// store publishes the fully built stripes to every later fork.
+std::atomic<const AnalyticBackend*> g_fork_held{nullptr};
+
+}  // namespace
+
+void AnalyticBackend::hold_cache_across_fork() const {
+  // A second registration would lock some stripes twice in one prepare
+  // handler - a deadlock at the next fork - so it fails loudly instead.
+  const AnalyticBackend* none = nullptr;
+  const bool first = g_fork_held.compare_exchange_strong(
+      none, this, std::memory_order_release);
+  RBX_CHECK_MSG(first, "the analytic cache is already held across fork");
+  const int rc = ::pthread_atfork(&lock_stripes_for_fork,
+                                  &unlock_stripes_after_fork,
+                                  &unlock_stripes_after_fork);
+  RBX_CHECK_MSG(rc == 0, "pthread_atfork failed");
+}
+
+void AnalyticBackend::lock_stripes_for_fork() {
+  CacheShard* shards = g_fork_held.load(std::memory_order_acquire)->shards_;
+  // Index order, the same in every forking thread, so two concurrent
+  // forks cannot deadlock on each other's half-taken stripes.
+  for (std::size_t i = 0; i < kCacheShards; ++i) {
+    shards[i].mutex.lock();
+  }
+}
+
+void AnalyticBackend::unlock_stripes_after_fork() {
+  CacheShard* shards = g_fork_held.load(std::memory_order_acquire)->shards_;
+  for (std::size_t i = kCacheShards; i-- > 0;) {
+    shards[i].mutex.unlock();
+  }
 }
 
 std::size_t AnalyticBackend::cached_models() const {

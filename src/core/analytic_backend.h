@@ -34,6 +34,12 @@
 // resets independently when it reaches its share of kMaxCachedModels,
 // which bounds memory on adversarial grids.  Construct with
 // cache_models=false to force every evaluation to solve from scratch.
+//
+// fork() safety: a ForkLane respawns children mid-sweep while thread-lane
+// workers may be inside evaluate() holding a stripe.  The registered
+// singleton calls hold_cache_across_fork(), whose pthread_atfork handlers
+// take every stripe before the fork and release them on both sides, so a
+// child never inherits a stripe some other thread held.
 #pragma once
 
 #include <cstddef>
@@ -65,7 +71,15 @@ class AnalyticBackend : public EvalBackend {
   // all shards.
   std::size_t cached_models() const;
 
+  // Registers the pthread_atfork handlers that hold this instance's
+  // stripes across fork().  Call at most once per process, on an instance
+  // that outlives every later fork (the registered singleton does).
+  void hold_cache_across_fork() const;
+
  private:
+  static void lock_stripes_for_fork();
+  static void unlock_stripes_after_fork();
+
   struct CacheShard {
     std::mutex mutex;
     std::unordered_map<std::string, std::vector<Metric>> entries;

@@ -15,35 +15,28 @@
 //                and lane; K=1 (default) is the exact sequential path;
 //   EvalBackend  an evaluation semantics for a Scenario, returning a
 //                ResultSet of named metrics (core/backend.h,
-//                core/result.h).  Nine registered singletons: "analytic"
+//                core/result.h).  Eight registered singletons, none
+//                of which reports wall-clock timings: "analytic"
 //                (Markov/closed-form), "monte-carlo" (DES), "runtime"
 //                (real threads), "density-analytic"/"density-mc" (the
 //                Figure 6 density grid, core/density_backend.h),
 //                "line-exact" (exact pairwise recovery-line detection)
 //                and "hybrid" (PRP + periodic sync, both
-//                core/ablation_backend.h), "markov-structure" (chain
-//                inventories, core/structure_backend.h), and
-//                "micro-markov" (Markov-engine timing kernels,
-//                perf/micro_backend.h);
-//   SweepEngine  parameter-grid expansion and parallel evaluation of
-//                scenario batches with deterministic per-cell seeding
-//                (core/sweep.h);
-//   Executor     where sweep cells run (core/executor.h).  Every executor
-//                is a lane configuration over the one shared scheduler,
-//                DispatchCore (core/dispatch.h): InProcessExecutor (a
-//                ThreadLane of worker threads), MultiProcessExecutor (a
-//                ForkLane of forked workers, respawned on crash),
-//                net::ClusterExecutor (a TcpLane of remote sweep_workerd
-//                daemons, net/cluster.h) and HybridExecutor (any mix of
-//                lanes in a single sweep), all returning per-cell
-//                outcomes bitwise identical to a serial run;
-//   DispatchCore the scheduler itself (core/dispatch.h): cell queue,
+//                core/ablation_backend.h), and "markov-structure" (chain
+//                inventories, core/structure_backend.h);
+//   SweepGrid    parameter-grid expansion with deterministic per-cell
+//                seeding (core/sweep.h);
+//   HybridExecutor
+//                the one executor and scheduler (core/dispatch.h): it
+//                owns a set of lanes (core/lane.h) - a ThreadLane of
+//                worker threads, a ForkLane of forked workers respawned on
+//                crash, a fleet::FleetLane of remote sweep_workerd daemons
+//                (fleet/lane.h), in any mix - and runs the cell queue,
 //                adaptive batch sizing, per-cell in-flight accounting
 //                under a committed mask, straggler work stealing, loss
-//                reconciliation, streaming result merge, and mid-sweep
-//                re-admission of lost workers - shared by every lane
-//                kind, so forked workers get stealing and adaptive
-//                batching exactly as cluster workers do;
+//                reconciliation, streaming result merge and mid-sweep
+//                re-admission of lost workers for all of them, returning
+//                per-cell outcomes bitwise identical to a serial run;
 //   EvalContext  the ambient per-evaluation thread budget
 //                (core/eval_context.h): lanes install it around their
 //                serve loops (DispatchOptions::eval_threads, adaptive by
@@ -65,7 +58,7 @@
 //   SweepJournal crash durability (recov/journal.h, recov/resume.h): a
 //                CRC'd write-ahead log of cell commits, an ARIES-style
 //                analysis pass tolerating torn tails, and resume planning
-//                that seeds DispatchCore with the recovered winners so a
+//                that seeds HybridExecutor with the recovered winners so a
 //                SIGKILLed sweep restarts evaluating only the losers
 //                (--journal/--resume on every bench) - output bitwise
 //                identical to an uninterrupted run;
@@ -78,8 +71,8 @@
 //                fleet_registryd): sweep_workerd daemons join a registry
 //                and heartbeat it (silence past the eviction window drops
 //                them from the pool), coordinators resolve the live
-//                members with --fleet=HOST:PORT instead of naming
-//                endpoints, contending sweeps are leased disjoint
+//                members with --fleet=HOST:PORT instead of naming them
+//                with --connect, contending sweeps are leased disjoint
 //                weighted fair shares, a worker lost mid-sweep is
 //                backfilled by any member - including one that joined
 //                after the sweep started - and one pre-shared key
@@ -93,7 +86,7 @@
 //                --compare mode that fails on regressions.
 //
 // Scenario and ResultSet have exact binary round-trips (encode/decode on
-// support/wire.h) - the executors and shard files depend on doubles being
+// support/wire.h) - the lanes and shard files depend on doubles being
 // bit-preserved on the wire, which is what makes every execution mode
 // print identical tables.
 //
@@ -109,15 +102,15 @@
 //
 //   auto cells = SweepGrid(s).axis({2, 3, 4, 5}, apply_n)
 //                    .expand(master_seed);
-//   auto results = SweepEngine({opts.threads})
-//                      .run(cells, monte_carlo_backend());
+//   SweepRunner runner(opts);
+//   auto results = runner.run(cells, monte_carlo_backend());
 //
 // The same cells sharded across two hosts reproduce those results
 // bitwise:
 //
 //   host A: outcomes for shard_cell_indices(cells.size(), {0, 2})
 //   host B: outcomes for shard_cell_indices(cells.size(), {1, 2})
-//   merge_shard_partials({A, B}) == SweepEngine(...).run(cells, ...)
+//   merge_shard_partials({A, B}) == *runner.run(cells, ...)
 //
 // (benches expose this as --shard=i/k + --merge=A,B, where a merge
 // source is a partial file or the HOST:PORT of a --shard-serve run
@@ -129,7 +122,7 @@
 //                      --connect=hostA:4701,hostB:4701 --steal
 //
 // runs threads, forked workers and remote sweep_workerd daemons under
-// one DispatchCore, streaming plan-carrying cell batches to whichever
+// one HybridExecutor, streaming plan-carrying cell batches to whichever
 // worker is idle and merging results as they arrive - still
 // byte-identical to --threads=1.  The daemons are long-running and serve
 // several coordinators concurrently (one session per connection, capped
@@ -154,21 +147,20 @@
 //   trace/     histories, exact recovery lines, rollback planning
 //   des/       Monte-Carlo simulators of the three schemes
 //   runtime/   thread-based processes with real checkpoint/rollback
-//   core/      Scenario + EvalBackend + SweepEngine + Executor/ShardSpec,
-//              DispatchCore + ThreadLane/ForkLane (core/dispatch.h,
-//              core/lane.h); the specialized backends (density, ablation,
-//              structure) live here too
-//   net/       the TCP lane of the dispatch layer (TcpLane,
-//              ClusterExecutor, WorkerServer)
+//   core/      Scenario + EvalBackend + SweepGrid + cell/batch/shard
+//              types, HybridExecutor + ThreadLane/ForkLane
+//              (core/dispatch.h, core/lane.h); the specialized backends
+//              (density, ablation, structure) live here too
+//   net/       TCP sockets, framed connections and the worker daemon
+//              (WorkerServer)
 //   fleet/     the shared-fleet subsystem: registry + membership
 //              (join/heartbeat/leave), fair-share leasing, pre-shared-key
-//              auth (HMAC-SHA256, signed leases), FleetLane (--fleet)
+//              auth (HMAC-SHA256, signed leases), and FleetLane, the one
+//              remote lane (--connect and --fleet)
 //   recov/     crash durability: sweep journal + resume planning +
 //              the worker-side result cache
 //   perf/      the bench harness: kernel registry, interval measurement,
-//              BENCH_*.json reports and regression compare (perf_bench);
-//              also the registered "micro-markov" timing backend
-//              (perf/micro_backend.h)
+//              BENCH_*.json reports and regression compare (perf_bench)
 //
 // The per-layer entry points (AsyncRbModel, SyncRbSimulator,
 // RecoverySystem, ...) remain public for code that needs one layer only;
@@ -197,7 +189,8 @@
 #include "model/params.h"              // IWYU pragma: export
 #include "model/prp_model.h"           // IWYU pragma: export
 #include "model/sync_model.h"          // IWYU pragma: export
-#include "net/cluster.h"               // IWYU pragma: export
+#include "net/frame.h"                 // IWYU pragma: export
+#include "net/socket.h"                // IWYU pragma: export
 #include "net/worker.h"                // IWYU pragma: export
 #include "perf/bench.h"                // IWYU pragma: export
 #include "perf/report.h"               // IWYU pragma: export

@@ -8,7 +8,6 @@
 #include "core/monte_carlo_backend.h"
 #include "core/runtime_backend.h"
 #include "core/structure_backend.h"
-#include "perf/micro_backend.h"
 
 namespace rbx {
 
@@ -19,6 +18,10 @@ bool EvalBackend::supports(const Scenario& scenario) const {
 
 const EvalBackend& analytic_backend() {
   static const AnalyticBackend backend;
+  // ForkLane respawns children while thread-lane workers may hold a cache
+  // stripe; the atfork handlers keep the children from inheriting it.
+  [[maybe_unused]] static const bool held =
+      (backend.hold_cache_across_fork(), true);
   return backend;
 }
 
@@ -57,17 +60,11 @@ const EvalBackend& markov_structure_backend() {
   return backend;
 }
 
-const EvalBackend& markov_micro_backend() {
-  static const MarkovMicroBackend backend;
-  return backend;
-}
-
 std::vector<const EvalBackend*> all_backends() {
   return {&analytic_backend(),         &monte_carlo_backend(),
           &runtime_backend(),          &density_analytic_backend(),
           &density_monte_carlo_backend(), &exact_line_backend(),
-          &hybrid_scheme_backend(),    &markov_structure_backend(),
-          &markov_micro_backend()};
+          &hybrid_scheme_backend(),    &markov_structure_backend()};
 }
 
 const EvalBackend* find_backend(const std::string& name) {

@@ -17,8 +17,9 @@
 // "mean_interval_x" is the analytic E[X] from the phase-type chain and the
 // sample mean from the DES), so cross-backend validation is a join on
 // metric name instead of per-experiment glue.  The registered backends are
-// stateless singletons; evaluate() is const and safe to call concurrently
-// from SweepEngine worker threads.
+// stateless singletons that measure the scenario, never the host (no
+// wall-clock timings); evaluate() is const and safe to call concurrently
+// from sweep worker threads.
 #pragma once
 
 #include <cstddef>
@@ -61,15 +62,13 @@ const EvalBackend& exact_line_backend();
 const EvalBackend& hybrid_scheme_backend();
 // Markov chain-structure inventories (core/structure_backend.h).
 const EvalBackend& markov_structure_backend();
-// The Markov-engine timing kernels (perf/micro_backend.h).
-const EvalBackend& markov_micro_backend();
 
 // All registered backends, in the order above.
 std::vector<const EvalBackend*> all_backends();
 
 // Lookup by name ("analytic", "monte-carlo", "runtime",
 // "density-analytic", "density-mc", "line-exact", "hybrid",
-// "markov-structure", "micro-markov"); nullptr if unknown.
+// "markov-structure"); nullptr if unknown.
 const EvalBackend* find_backend(const std::string& name);
 
 // --- evaluation plans ----------------------------------------------------
@@ -78,7 +77,7 @@ const EvalBackend* find_backend(const std::string& name);
 // all have the same shape - evaluate one backend, then merge() further
 // backends under a metric prefix - and an EvalPlan is that shape as data,
 // so a cell can be shipped to a worker daemon on another host
-// (net/cluster.h) that has no access to the bench's closures.  Executing a
+// (fleet/lane.h) that has no access to the bench's closures.  Executing a
 // plan locally and remotely calls the same backend singletons in the same
 // order, which is what keeps cluster runs byte-identical to in-process
 // runs.

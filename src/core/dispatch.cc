@@ -48,18 +48,19 @@ struct Slot {
 
 }  // namespace
 
-DispatchCore::DispatchCore(std::vector<Lane*> lanes, DispatchOptions options)
+HybridExecutor::HybridExecutor(std::vector<std::unique_ptr<Lane>> lanes,
+                               DispatchOptions options)
     : lanes_(std::move(lanes)), options_(std::move(options)) {}
 
-void DispatchCore::set_precommitted(std::vector<std::uint8_t> mask,
-                                    std::vector<CellOutcome> outcomes) {
+void HybridExecutor::set_precommitted(std::vector<std::uint8_t> mask,
+                                      std::vector<CellOutcome> outcomes) {
   have_precommitted_ = true;
   precommitted_mask_ = std::move(mask);
   precommitted_outcomes_ = std::move(outcomes);
 }
 
-std::vector<CellOutcome> DispatchCore::run(const std::vector<Scenario>& cells,
-                                           const CellFn& cell_fn) {
+std::vector<CellOutcome> HybridExecutor::run(
+    const std::vector<Scenario>& cells, const CellFn& cell_fn) {
   stolen_last_run_ = 0;
   readmitted_last_run_ = 0;
   std::vector<CellOutcome> outcomes(cells.size());
@@ -104,11 +105,11 @@ std::vector<CellOutcome> DispatchCore::run(const std::vector<Scenario>& cells,
   }
 
   std::vector<LaneWorker*> workers;
-  for (Lane* lane : lanes_) {
+  for (const auto& lane : lanes_) {
     try {
       lane->start(cells.size(), cell_fn, options_.eval_threads, &workers);
     } catch (...) {
-      for (Lane* started : lanes_) {
+      for (const auto& started : lanes_) {
         started->finish();
       }
       throw;
@@ -563,9 +564,9 @@ std::vector<CellOutcome> DispatchCore::run(const std::vector<Scenario>& cells,
       if (slot.alive()) {
         admit(slot);
       } else {
-        // Lost before the sweep began: a failed fork, or a TCP endpoint
-        // that died in an earlier sweep.  The revive timer gives it the
-        // same re-admission path as a mid-sweep loss.
+        // Lost before the sweep began: a failed fork, or a remote member
+        // that was unreachable or died in an earlier sweep.  The revive
+        // timer gives it the same re-admission path as a mid-sweep loss.
         schedule_revive(slot);
       }
     }
@@ -712,40 +713,16 @@ std::vector<CellOutcome> DispatchCore::run(const std::vector<Scenario>& cells,
       }
     }
   } catch (...) {
-    for (Lane* lane : lanes_) {
+    for (const auto& lane : lanes_) {
       lane->finish();
     }
     throw;
   }
 
-  for (Lane* lane : lanes_) {
+  for (const auto& lane : lanes_) {
     lane->finish();
   }
   return outcomes;
-}
-
-// --- HybridExecutor ----------------------------------------------------------
-
-std::vector<Lane*> HybridExecutor::raw_lanes(
-    const std::vector<std::unique_ptr<Lane>>& lanes) {
-  std::vector<Lane*> out;
-  out.reserve(lanes.size());
-  for (const auto& lane : lanes) {
-    out.push_back(lane.get());
-  }
-  return out;
-}
-
-HybridExecutor::HybridExecutor(std::vector<std::unique_ptr<Lane>> lanes,
-                               DispatchOptions options)
-    : lanes_(std::move(lanes)),
-      core_(raw_lanes(lanes_), std::move(options)) {}
-
-HybridExecutor::~HybridExecutor() = default;
-
-std::vector<CellOutcome> HybridExecutor::run(
-    const std::vector<Scenario>& cells, const CellFn& cell_fn) const {
-  return core_.run(cells, cell_fn);
 }
 
 }  // namespace rbx

@@ -1,16 +1,15 @@
-// DispatchCore: the one scheduler every executor shares.
+// HybridExecutor: the one executor, and the one scheduler behind it.
 //
-// InProcessExecutor, MultiProcessExecutor and net::ClusterExecutor used to
-// each reimplement the same machinery - a cell queue, adaptive batch
-// sizing, per-cell in-flight accounting under a committed mask, straggler
-// work stealing, loss reconciliation and a streaming result merge.  All of
-// that now lives here once, driving pluggable Lanes (core/lane.h): a
-// worker is a framed channel, whether a thread, a forked child or a TCP
-// daemon on another host, and one poll loop feeds them all.  The three
-// executors are thin lane configurations; HybridExecutor runs any mix of
-// lanes in a single sweep (`--threads=8 --workers=4 --connect=a:1,b:2`),
-// and because per-cell seeds pin every evaluation, the output is byte-
-// identical to a single-threaded run no matter how the cells were dealt.
+// Every sweep runs here, whatever mix of lanes (core/lane.h) it spans: a
+// cell queue, adaptive batch sizing, per-cell in-flight accounting under a
+// committed mask, straggler work stealing, loss reconciliation and a
+// streaming result merge, all driving pluggable Lanes.  A worker is a
+// framed channel, whether a thread, a forked child or a TCP daemon on
+// another host, and one poll loop feeds them all - `--threads=8
+// --workers=4 --connect=a:1,b:2` is one HybridExecutor over a ThreadLane,
+// a ForkLane and a fleet::FleetLane.  Because per-cell seeds pin every
+// evaluation, the output is byte-identical to a single-threaded run no
+// matter how the cells were dealt.
 //
 // The scheduler applies the paper's backward error recovery to the worker
 // pool itself:
@@ -25,7 +24,7 @@
 //              recognized by the committed mask and dropped;
 //   re-admission
 //              a lost worker whose lane can revive it (a ForkLane child
-//              is respawned; a TcpLane endpoint is reconnected) is
+//              is respawned; a FleetLane worker reconnects to a member) is
 //              retried on a doubling backoff timer, re-handshaken
 //              against the same grid fingerprint, and rejoins the live
 //              pool mid-sweep, taking queue or stolen work.
@@ -38,7 +37,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/backend.h"
@@ -70,9 +69,13 @@ struct DispatchOptions {
   std::size_t eval_threads = 0;
 };
 
-class DispatchCore {
+// Owns its lanes; per-sweep lanes (threads, forks) are raised and reaped
+// per run() while persistent lanes (remote daemons) keep their connections
+// across runs, so one HybridExecutor serves every sweep of a bench.
+class HybridExecutor {
  public:
-  DispatchCore(std::vector<Lane*> lanes, DispatchOptions options);
+  explicit HybridExecutor(std::vector<std::unique_ptr<Lane>> lanes,
+                          DispatchOptions options = DispatchOptions());
 
   // How workers that need_plan() (remote daemons) evaluate cells; local
   // thread/fork workers always run cell_fn.  Must be set before run()
@@ -96,8 +99,9 @@ class DispatchCore {
   void set_precommitted(std::vector<std::uint8_t> mask,
                         std::vector<CellOutcome> outcomes);
 
-  // Evaluates every cell across the lanes; outcomes in cell order,
-  // bitwise identical to a serial run of the same cell_fn.  Throws
+  // Evaluates cell i as cell_fn(cells[i], i) across the lanes; outcomes
+  // in cell order, bitwise identical to a serial run of the same cell_fn.
+  // A throwing cell_fn is a per-cell error, not an exception.  Throws
   // std::runtime_error only for infrastructure failures (no usable
   // workers, poll failure, a plan-needing lane without a plan function);
   // worker loss is recovered, not thrown.
@@ -117,7 +121,7 @@ class DispatchCore {
   }
 
  private:
-  std::vector<Lane*> lanes_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
   DispatchOptions options_;
   PlanFn plan_fn_;
   CommitHook commit_hook_;
@@ -128,50 +132,6 @@ class DispatchCore {
   std::size_t stolen_last_run_ = 0;
   std::size_t readmitted_total_ = 0;
   std::size_t readmitted_last_run_ = 0;
-};
-
-// Any mix of lanes behind the plain Executor interface - the executor
-// behind `--threads=8 --workers=4 --connect=hostA:9000,hostB:9000`.
-// Owns its lanes; per-sweep lanes (threads, forks) are raised and reaped
-// per run() while persistent lanes (TCP) keep their connections across
-// runs, so one HybridExecutor serves every sweep of a bench.
-class HybridExecutor final : public Executor {
- public:
-  explicit HybridExecutor(std::vector<std::unique_ptr<Lane>> lanes,
-                          DispatchOptions options = DispatchOptions());
-  ~HybridExecutor() override;
-
-  std::string name() const override { return "hybrid"; }
-
-  void set_plan_fn(PlanFn plan_fn) { core_.set_plan_fn(std::move(plan_fn)); }
-  void set_commit_hook(DispatchCore::CommitHook hook) {
-    core_.set_commit_hook(std::move(hook));
-  }
-  void set_precommitted(std::vector<std::uint8_t> mask,
-                        std::vector<CellOutcome> outcomes) {
-    core_.set_precommitted(std::move(mask), std::move(outcomes));
-  }
-
-  std::size_t stolen_cells() const { return core_.stolen_cells(); }
-  std::size_t stolen_cells_last_run() const {
-    return core_.stolen_cells_last_run();
-  }
-  std::size_t readmitted_workers() const {
-    return core_.readmitted_workers();
-  }
-  std::size_t readmitted_workers_last_run() const {
-    return core_.readmitted_workers_last_run();
-  }
-
-  std::vector<CellOutcome> run(const std::vector<Scenario>& cells,
-                               const CellFn& cell_fn) const override;
-
- private:
-  static std::vector<Lane*> raw_lanes(
-      const std::vector<std::unique_ptr<Lane>>& lanes);
-
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  mutable DispatchCore core_;
 };
 
 }  // namespace rbx

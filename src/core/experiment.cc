@@ -14,7 +14,6 @@
 #include "core/lane.h"
 #include "fleet/auth.h"
 #include "fleet/lane.h"
-#include "net/cluster.h"
 #include "net/frame.h"
 #include "recov/journal.h"
 #include "recov/resume.h"
@@ -454,8 +453,8 @@ SweepRunner::SweepRunner(const ExperimentOptions& opts,
                  static_cast<unsigned>(shard_listener_->port()));
   }
   // Compose the execution lanes.  One executor serves the whole bench
-  // run: its lanes (and a TCP lane's worker connections, including the
-  // knowledge of which workers died) persist across sweeps.
+  // run: its lanes (and the remote lane's worker connections, including
+  // the knowledge of which workers died) persist across sweeps.
   // The pre-shared fleet key (--auth-key-file); an unreadable or empty
   // key file is an environment failure, reported before any lane dials.
   std::string auth_key;
@@ -477,23 +476,18 @@ SweepRunner::SweepRunner(const ExperimentOptions& opts,
       (opts_.workers == 0 && opts_.connect.empty() && !opts_.fleet_given)) {
     lanes.push_back(std::make_unique<ThreadLane>(opts_.threads));
   }
-  if (!opts_.connect.empty()) {
-    net::TcpLaneOptions tcp;
-    tcp.endpoints = opts_.connect;
+  if (!opts_.connect.empty() || opts_.fleet_given) {
+    // One remote lane: --connect names a static member list, --fleet a
+    // registry (parse() refuses both at once).
+    fleet::FleetLaneOptions remote;
+    remote.registry = opts_.fleet;
+    remote.members = opts_.connect;
+    remote.auth_key = auth_key;
+    remote.max_workers = static_cast<std::uint32_t>(opts_.fleet_workers);
     // With local lanes present, an unreachable pool degrades the sweep
-    // instead of killing it; a --connect-only run still fails loudly.
-    tcp.required = lanes.empty();
-    tcp.auth_key = auth_key;
-    lanes.push_back(std::make_unique<net::TcpLane>(std::move(tcp)));
-    remote_lanes_ = true;
-  }
-  if (opts_.fleet_given) {
-    fleet::FleetLaneOptions flt;
-    flt.registry = opts_.fleet;
-    flt.auth_key = auth_key;
-    flt.max_workers = static_cast<std::uint32_t>(opts_.fleet_workers);
-    flt.required = lanes.empty();
-    lanes.push_back(std::make_unique<fleet::FleetLane>(std::move(flt)));
+    // instead of killing it; a remote-only run still fails loudly.
+    remote.required = lanes.empty();
+    lanes.push_back(std::make_unique<fleet::FleetLane>(std::move(remote)));
     remote_lanes_ = true;
   }
   DispatchOptions dispatch;

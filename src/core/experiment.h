@@ -4,8 +4,9 @@
 // Every bench runs with no arguments and prints the paper's rows to stdout;
 // the flags below let a user trade precision for time and pick where the
 // sweep cells execute.  Execution lanes *compose*: any mix of --threads,
-// --workers and --connect runs as one sweep over the shared dispatch core
-// (core/dispatch.h), byte-identical to a single-threaded run.
+// --workers and --connect (or --fleet) runs as one sweep on one
+// HybridExecutor (core/dispatch.h), byte-identical to a single-threaded
+// run.
 //   --samples=N    Monte-Carlo sample count (lines / failures / commits)
 //   --streams=K    partition every cell's Monte-Carlo budget into K
 //                  deterministic RNG sub-streams (Scenario::streams),
@@ -23,9 +24,11 @@
 //   --workers=N    a lane of N forked worker processes (crashed workers
 //                  are respawned and their cells re-run)
 //   --connect=HOST:PORT,...
-//                  a lane of remote sweep_workerd daemons over TCP; a
-//                  lost daemon is re-admitted mid-sweep when it comes
-//                  back (reconnect + re-handshake on a backoff timer)
+//                  a lane of remote sweep_workerd daemons over TCP - a
+//                  fleet (fleet/lane.h) whose membership is this list; a
+//                  lost daemon is re-admitted mid-sweep when it or an
+//                  unused listed daemon answers (reconnect + re-handshake
+//                  on a backoff timer)
 //   --fleet=HOST:PORT
 //                  like --connect, but the daemons are resolved from a
 //                  fleet registry (tools/fleet_registryd) at sweep start:
@@ -232,10 +235,10 @@ class SweepRunner {
   std::unique_ptr<net::Listener> shard_listener_;  // --shard-serve
   std::unique_ptr<net::FrameConn> shard_conn_;     // the one merge peer
   std::vector<std::unique_ptr<MergeSource>> merge_sources_;
-  // One executor for the whole bench run: its lanes (and a TCP lane's
-  // worker connections) persist across sweeps.  Null in merge mode.
+  // One executor for the whole bench run: its lanes (and the remote
+  // lane's worker connections) persist across sweeps.  Null in merge mode.
   std::unique_ptr<HybridExecutor> executor_;
-  bool remote_lanes_ = false;  // a --connect lane exists: plans required
+  bool remote_lanes_ = false;  // a remote lane exists: plans required
   // Crash durability (--journal / --resume): the writer appends a record
   // per committed cell; the recovered analysis seeds resumed sweeps.
   std::unique_ptr<recov::JournalWriter> journal_;

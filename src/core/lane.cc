@@ -312,14 +312,18 @@ ForkLane::ForkLane(std::size_t workers)
 ForkLane::~ForkLane() { finish(); }
 
 bool ForkLane::spawn(Worker& worker) {
-  // A mid-sweep respawn forks while other lanes' threads are running, so
-  // the child may only rely on facilities fork() re-initializes for the
-  // child of a multithreaded parent: glibc releases the malloc arena and
-  // stdio locks across fork, and everything else on the child's path to
-  // its first cell (FrameChannel, the wire codecs, io::*) is plain
-  // malloc + raw syscalls.  SweepRunner additionally orders the fork
-  // lane before the thread lane so the *initial* spawns happen before
-  // any lane thread exists.
+  // A mid-sweep respawn forks while other lanes' threads are running, and
+  // the child inherits every lock as it stood at that instant.  glibc
+  // releases the malloc arena and stdio locks across fork, and the
+  // child's protocol path (FrameChannel, the wire codecs, io::*) is plain
+  // malloc + raw syscalls - but the cell_fn it runs is arbitrary code.
+  // Any lock that code shares with a parent thread must be released in
+  // the child by a pthread_atfork handler, as the registered analytic
+  // backend does for its cache stripes (core/backend.cc); otherwise a
+  // child forked while a thread-lane worker held it blocks forever on
+  // its first cell.  SweepRunner also orders the fork lane before the
+  // thread lane so the *initial* spawns happen before any lane thread
+  // exists.
   int sv[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
     return false;

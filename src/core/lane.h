@@ -1,7 +1,7 @@
 // Lanes: where a sweep's cells physically run, behind one dispatch loop.
 //
-// DispatchCore (core/dispatch.h) schedules cells without caring whether a
-// worker is a thread, a forked process or a TCP daemon on another host.
+// HybridExecutor (core/dispatch.h) schedules cells without caring whether
+// a worker is a thread, a forked process or a TCP daemon on another host.
 // A Lane supplies the workers of one kind, and every worker speaks the
 // same framed protocol over a stream fd - the kFrameCellBatch /
 // kFrameResultBatch currency of core/executor.h - so the coordinator can
@@ -13,9 +13,10 @@
 //   ForkLane     forked worker processes (process isolation: an aborting
 //                cell cannot take the sweep down), respawned on crash so
 //                one poisoned cell costs a retry, not a worker;
-//   TcpLane      remote sweep_workerd daemons (net/cluster.h) - cells
+//   FleetLane    remote sweep_workerd daemons (fleet/lane.h), named on a
+//                --connect list or resolved from a fleet registry - cells
 //                carry EvalPlans, sweeps open with a versioned Hello
-//                handshake, and a lost endpoint is re-admitted mid-sweep
+//                handshake, and a lost worker is re-admitted mid-sweep
 //                once it reconnects and re-handshakes.
 //
 // The handshake frames (Hello / HelloAck / Error) live here rather than
@@ -134,7 +135,7 @@ class FrameChannel {
 
 // --- worker/lane interfaces ----------------------------------------------
 
-// One worker endpoint a DispatchCore can feed cell batches.  The worker is
+// One worker endpoint the dispatch loop can feed cell batches.  The worker is
 // identified to the scheduler by its channel; a null/closed channel means
 // the worker is lost (and may be revivable, below).
 class LaneWorker {
@@ -189,9 +190,9 @@ class LaneWorker {
 };
 
 // A source of workers of one kind.  start() is called once per
-// DispatchCore::run to (re)create the lane's workers for the sweep;
+// HybridExecutor::run to (re)create the lane's workers for the sweep;
 // finish() reaps per-sweep workers (threads joined, children waited on) -
-// a persistent lane (TCP) keeps its connections instead.
+// a persistent lane (remote daemons) keeps its connections instead.
 class Lane {
  public:
   virtual ~Lane() = default;
@@ -209,7 +210,7 @@ class Lane {
   // is its lane's configured parallelism divided by the workers actually
   // raised, so a 4-thread lane handed 1 cell gives that cell all 4
   // threads, and handed 8 cells gives each worker a budget of 1.  Remote
-  // lanes (TCP/fleet) ignore it - each daemon owns its budget.
+  // lanes ignore it - each daemon owns its budget.
   virtual void start(std::size_t cell_count, const CellFn& cell_fn,
                      std::size_t eval_threads,
                      std::vector<LaneWorker*>* out) = 0;
@@ -278,7 +279,7 @@ class ForkLane final : public Lane {
   std::vector<std::unique_ptr<Worker>> workers_;
 };
 
-// Hardware-concurrency default shared by the lanes and executors.
+// Hardware-concurrency default shared by the local lanes.
 std::size_t default_parallelism();
 
 }  // namespace rbx

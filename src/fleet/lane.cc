@@ -21,9 +21,7 @@ struct FleetLane::FleetWorker final : LaneWorker {
     lease_sig_ = grant.lease_sig;
   }
 
-  std::string describe() const override {
-    return endpoint_.to_string() + " (fleet)";
-  }
+  std::string describe() const override { return endpoint_.to_string(); }
   FrameChannel* channel() override { return &channel_; }
   bool needs_plan() const override { return true; }
   bool needs_handshake() const override { return true; }
@@ -33,9 +31,13 @@ struct FleetLane::FleetWorker final : LaneWorker {
     if (!lane_->options_.auth_key.empty()) {
       hello.flags |= kHelloFlagAuth;
     }
-    hello.flags |= kHelloFlagLease;
-    hello.lease_token = lease_token_;
-    hello.lease_sig = lease_sig_;
+    // Only a registry grant carries a lease; a static member's Hello goes
+    // out unleased, and a keyed daemon still authenticates it.
+    if (!lane_->static_members()) {
+      hello.flags |= kHelloFlagLease;
+      hello.lease_token = lease_token_;
+      hello.lease_sig = lease_sig_;
+    }
   }
   std::string auth_response(const std::string& challenge) const override {
     if (lane_->options_.auth_key.empty()) {
@@ -44,9 +46,9 @@ struct FleetLane::FleetWorker final : LaneWorker {
     return auth_mac(lane_->options_.auth_key, challenge);
   }
 
-  // Unlike a TcpLane endpoint, a fleet worker is always worth reviving:
-  // even if *this* daemon is gone for good, the registry may hand us a
-  // different member to take its place.
+  // A fleet worker is always worth reviving: even if *this* daemon is
+  // gone for good (or was never reachable), another member may take its
+  // place, or the daemon may come back.
   bool can_revive() const override { return true; }
   int revive_delay_ms() const override {
     return lane_->options_.readmit_delay_ms;
@@ -115,10 +117,7 @@ void FleetLane::start(std::size_t cell_count, const CellFn& cell_fn,
     resolved_ = true;
     GrantResponse grant;
     try {
-      ResolveRequest req;
-      req.coordinator_id = coordinator_id_;
-      req.max_workers = options_.max_workers;
-      grant = client_.resolve(req);
+      grant = resolve_members();
     } catch (const net::Error& e) {
       // A --fleet-only run must fail loudly; a hybrid run degrades to its
       // local lanes (the registry stays out of reach for this process).
@@ -131,7 +130,7 @@ void FleetLane::start(std::size_t cell_count, const CellFn& cell_fn,
       }
       return;
     }
-    if (!options_.quiet) {
+    if (!options_.quiet && !static_members()) {
       std::fprintf(stderr,
                    "fleet: registry %s granted %zu of %u live member(s)\n",
                    options_.registry.to_string().c_str(),
@@ -163,7 +162,7 @@ void FleetLane::start(std::size_t cell_count, const CellFn& cell_fn,
     if (live() == 0 && options_.required) {
       throw net::Error("fleet: none of the " +
                        std::to_string(workers_.size()) +
-                       " granted members are reachable");
+                       " members are reachable");
     }
   }
   for (const auto& worker : workers_) {
@@ -175,16 +174,27 @@ void FleetLane::finish() {
   // Persistent lane: connections and leases survive into the next sweep.
 }
 
+GrantResponse FleetLane::resolve_members() {
+  GrantResponse grant;
+  if (static_members()) {
+    for (const net::Endpoint& member : options_.members) {
+      grant.members.push_back(GrantedMember{member.host, member.port, 0, 0});
+    }
+    return grant;
+  }
+  ResolveRequest req;
+  req.coordinator_id = coordinator_id_;
+  req.max_workers = options_.max_workers;
+  return client_.resolve(req);
+}
+
 bool FleetLane::retarget(FleetWorker* worker) {
-  // Ask the registry for the pool as it stands *now* - eviction has
-  // already removed anything heartbeat-expired, and a member that joined
-  // after the sweep started is in the grant like any other.
+  // Read the pool as it stands *now* - a registry has already evicted
+  // anything heartbeat-expired, and a member that joined after the sweep
+  // started is in the grant like any other.
   GrantResponse grant;
   try {
-    ResolveRequest req;
-    req.coordinator_id = coordinator_id_;
-    req.max_workers = options_.max_workers;
-    grant = client_.resolve(req);
+    grant = resolve_members();
   } catch (const net::Error& e) {
     if (!options_.quiet) {
       std::fprintf(stderr, "fleet: re-resolve failed (%s); will retry\n",
@@ -206,8 +216,8 @@ bool FleetLane::retarget(FleetWorker* worker) {
   };
   // Prefer a member this sweep is not already using and that is not the
   // endpoint we just lost (a fresh joiner backfilling the loss); fall
-  // back to the lost endpoint itself if the registry still vouches for
-  // it - the daemon may simply have restarted.
+  // back to the lost endpoint itself if the membership still lists it -
+  // the daemon may simply have restarted.
   const GrantedMember* fresh = nullptr;
   const GrantedMember* same = nullptr;
   for (const GrantedMember& member : grant.members) {
@@ -230,8 +240,7 @@ bool FleetLane::retarget(FleetWorker* worker) {
     ++backfills_;
     if (!options_.quiet) {
       std::fprintf(stderr,
-                   "fleet: backfilling lost worker %s with registry member "
-                   "%s\n",
+                   "fleet: backfilling lost worker %s with member %s\n",
                    worker->endpoint_.to_string().c_str(),
                    pick->endpoint().c_str());
     }

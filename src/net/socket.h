@@ -3,13 +3,14 @@
 //
 // Everything here is deliberately boring POSIX: blocking sockets, IPv4/
 // IPv6 via getaddrinfo, EINTR handled by support/io.h.  The interesting
-// protocol lives one layer up in net/frame.h (framed wire traffic) and
-// net/cluster.h / net/worker.h (coordinator and worker roles).
+// protocol lives one layer up in net/frame.h (framed wire traffic),
+// fleet/lane.h (the coordinator's remote lane) and net/worker.h (the
+// worker daemon).
 //
 // Errors are net::Error (a std::runtime_error): a refused connection, an
 // unresolvable host or a failed bind are infrastructure failures the
-// caller decides how to survive - the ClusterExecutor skips dead
-// endpoints, the worker daemon exits.
+// caller decides how to survive - the remote lane leaves an unreachable
+// member to its revive timer, the worker daemon exits.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,7 @@
 // Given the SweepState the analysis pass (recov/journal.h) recovered for
 // one sweep, plan_resume() partitions the grid: committed cells carry
 // their journaled ResultSets (the winners), everything else is a loser to
-// re-evaluate.  The plan feeds DispatchCore's pre-committed seam
+// re-evaluate.  The plan feeds HybridExecutor's pre-committed seam
 // (core/dispatch.h): the scheduler seeds its committed mask and result
 // vector from the plan and enqueues only the losers, so a resumed run
 // evaluates exactly the uncommitted cells yet merges into a result vector

@@ -16,7 +16,7 @@ TEST(BackendRegistry, NamesAndLookup) {
   EXPECT_EQ(analytic_backend().name(), "analytic");
   EXPECT_EQ(monte_carlo_backend().name(), "monte-carlo");
   EXPECT_EQ(runtime_backend().name(), "runtime");
-  EXPECT_EQ(all_backends().size(), 9u);
+  EXPECT_EQ(all_backends().size(), 8u);
   EXPECT_EQ(find_backend("analytic"), &analytic_backend());
   EXPECT_EQ(find_backend("monte-carlo"), &monte_carlo_backend());
   EXPECT_EQ(find_backend("runtime"), &runtime_backend());
@@ -25,7 +25,6 @@ TEST(BackendRegistry, NamesAndLookup) {
   EXPECT_EQ(find_backend("line-exact"), &exact_line_backend());
   EXPECT_EQ(find_backend("hybrid"), &hybrid_scheme_backend());
   EXPECT_EQ(find_backend("markov-structure"), &markov_structure_backend());
-  EXPECT_EQ(find_backend("micro-markov"), &markov_micro_backend());
   EXPECT_EQ(find_backend("no-such-backend"), nullptr);
   // Every registered name round-trips through the lookup.
   for (const EvalBackend* b : all_backends()) {

@@ -14,8 +14,8 @@
 #include "core/backend.h"
 #include "core/executor.h"
 #include "des/async_sim.h"
+#include "lane_sets.h"
 #include "model/async_model.h"
-#include "net/cluster.h"
 #include "net/worker.h"
 #include "support/stats.h"
 
@@ -98,8 +98,8 @@ TEST(DensityBackendTest, SweepIsBitwiseIdenticalAcrossExecutionModes) {
   const CellFn local = [&plan](const Scenario& s, std::size_t) {
     return evaluate_plan(plan, s);
   };
-  const auto serial = InProcessExecutor({1}).run(cells, local);
-  const auto threaded = InProcessExecutor({4}).run(cells, local);
+  const auto serial = lane_sets::threads(1, cells, local);
+  const auto threaded = lane_sets::threads(4, cells, local);
 
   net::WorkerOptions wopts;
   wopts.port = 0;
@@ -109,12 +109,10 @@ TEST(DensityBackendTest, SweepIsBitwiseIdenticalAcrossExecutionModes) {
   std::thread worker_thread([&worker]() { worker.serve(); });
   std::vector<CellOutcome> remote;
   {
-    net::ClusterOptions copts;
-    copts.endpoints = {{"127.0.0.1", worker.port()}};
-    copts.quiet = true;
-    net::ClusterExecutor cluster(std::move(copts));
-    cluster.set_plan_fn(plan_fn);
-    remote = cluster.run(cells, CellFn());
+    lane_sets::RemoteSweep cluster(
+        lane_sets::connect({net::Endpoint{"127.0.0.1", worker.port()}}),
+        plan_fn);
+    remote = cluster.run(cells);
   }
   worker_thread.join();
 

@@ -1,4 +1,4 @@
-// The executor determinism contract: the same expanded grid produces
+// The execution determinism contract: the same expanded grid produces
 // bitwise-identical results on 1 thread, N threads, M forked worker
 // processes, and a sharded-then-merged split - plus the failure semantics
 // (throwing cell_fn -> per-cell error; crashed worker -> per-cell error,
@@ -13,6 +13,7 @@
 
 #include "core/backend.h"
 #include "core/sweep.h"
+#include "lane_sets.h"
 
 namespace rbx {
 namespace {
@@ -47,10 +48,9 @@ TEST(ExecutorDeterminism, AllExecutionModesAreBitwiseIdentical) {
   const std::vector<Scenario> cells = mc_grid(17);
   const CellFn fn = backend_fn();
 
-  const auto serial = results_of(InProcessExecutor({1}).run(cells, fn));
-  const auto threaded = results_of(InProcessExecutor({8}).run(cells, fn));
-  const auto forked =
-      results_of(MultiProcessExecutor({4, 1}).run(cells, fn));
+  const auto serial = results_of(lane_sets::threads(1, cells, fn));
+  const auto threaded = results_of(lane_sets::threads(8, cells, fn));
+  const auto forked = results_of(lane_sets::forks(4, 1, cells, fn));
 
   // Sharded: evaluate each half independently, then merge.
   std::vector<ShardPartial> partials;
@@ -62,8 +62,8 @@ TEST(ExecutorDeterminism, AllExecutionModesAreBitwiseIdentical) {
     for (std::size_t index : owned) {
       owned_cells.push_back(cells[index]);
     }
-    const auto outcomes = InProcessExecutor({2}).run(
-        owned_cells, [&](const Scenario& cell, std::size_t local) {
+    const auto outcomes = lane_sets::threads(
+        2, owned_cells, [&](const Scenario& cell, std::size_t local) {
           return fn(cell, owned[local]);
         });
     ShardPartial partial;
@@ -93,7 +93,7 @@ TEST(ExecutorDeterminism, ShardPartialSurvivesTheWire) {
   // frame -> decode(); pin that path, not just the in-memory merge.
   const std::vector<Scenario> cells = mc_grid(23);
   const CellFn fn = backend_fn();
-  const auto reference = results_of(InProcessExecutor({1}).run(cells, fn));
+  const auto reference = results_of(lane_sets::threads(1, cells, fn));
 
   std::vector<ShardPartial> partials;
   for (std::size_t shard_index = 0; shard_index < 3; ++shard_index) {
@@ -124,18 +124,18 @@ TEST(ExecutorDeterminism, ShardPartialSurvivesTheWire) {
   }
 }
 
-TEST(InProcessExecutorTest, EmptyCellsAndThreadsExceedingCells) {
+TEST(ThreadLaneTest, EmptyCellsAndThreadsExceedingCells) {
   const CellFn fn = [](const Scenario& s, std::size_t i) {
     ResultSet out("test", s.label());
     out.set("index", static_cast<double>(i));
     return out;
   };
-  EXPECT_TRUE(InProcessExecutor({4}).run({}, fn).empty());
+  EXPECT_TRUE(lane_sets::threads(4, {}, fn).empty());
 
   // Far more threads than cells: must not spawn idle threads or lose
   // cells; outcomes stay in input order.
   const std::vector<Scenario> cells(3, Scenario::symmetric(2, 1.0, 1.0));
-  const auto outcomes = InProcessExecutor({64}).run(cells, fn);
+  const auto outcomes = lane_sets::threads(64, cells, fn);
   ASSERT_EQ(outcomes.size(), 3u);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok());
@@ -144,10 +144,10 @@ TEST(InProcessExecutorTest, EmptyCellsAndThreadsExceedingCells) {
   }
 }
 
-TEST(InProcessExecutorTest, ThrowingCellBecomesPerCellError) {
+TEST(ThreadLaneTest, ThrowingCellBecomesPerCellError) {
   const std::vector<Scenario> cells(4, Scenario::symmetric(2, 1.0, 1.0));
-  const auto outcomes = InProcessExecutor({2}).run(
-      cells, [](const Scenario& s, std::size_t i) {
+  const auto outcomes = lane_sets::threads(
+      2, cells, [](const Scenario& s, std::size_t i) {
         if (i == 2) {
           throw std::runtime_error("synthetic cell failure");
         }
@@ -166,29 +166,10 @@ TEST(InProcessExecutorTest, ThrowingCellBecomesPerCellError) {
   }
 }
 
-TEST(SweepEngineTest, ThrowingCellFnRethrowsOnCaller) {
-  // Pre-refactor, a throw on a pool thread called std::terminate; now the
-  // first failing cell's error is rethrown on the calling thread.
-  const std::vector<Scenario> cells(6, Scenario::symmetric(2, 1.0, 1.0));
-  try {
-    SweepEngine({3}).run(cells, [](const Scenario&, std::size_t i) {
-      if (i == 4) {
-        throw std::runtime_error("boom");
-      }
-      return ResultSet("test", "cell");
-    });
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("cell 4"), std::string::npos) << what;
-    EXPECT_NE(what.find("boom"), std::string::npos) << what;
-  }
-}
-
-TEST(MultiProcessExecutorTest, ThrowingCellBecomesPerCellError) {
+TEST(ForkLaneTest, ThrowingCellBecomesPerCellError) {
   const std::vector<Scenario> cells(4, Scenario::symmetric(2, 1.0, 1.0));
-  const auto outcomes = MultiProcessExecutor({2, 1}).run(
-      cells, [](const Scenario& s, std::size_t i) {
+  const auto outcomes = lane_sets::forks(
+      2, 1, cells, [](const Scenario& s, std::size_t i) {
         if (i == 1) {
           throw std::runtime_error("worker-side failure");
         }
@@ -209,7 +190,7 @@ TEST(MultiProcessExecutorTest, ThrowingCellBecomesPerCellError) {
   }
 }
 
-TEST(MultiProcessExecutorTest, PoisonousCellFailsAfterKillingTwoWorkers) {
+TEST(ForkLaneTest, PoisonousCellFailsAfterKillingTwoWorkers) {
   // A cell that kills its worker process outright (not an exception).
   // The dispatch core respawns the crashed worker and re-runs the cell
   // once; when the rerun kills a worker too, the cell is declared
@@ -217,8 +198,8 @@ TEST(MultiProcessExecutorTest, PoisonousCellFailsAfterKillingTwoWorkers) {
   // evaluates - the sweep never hangs, never dies, and the pool never
   // shrinks.
   const std::vector<Scenario> cells(8, Scenario::symmetric(2, 1.0, 1.0));
-  const auto outcomes = MultiProcessExecutor({2, 1}).run(
-      cells, [](const Scenario& s, std::size_t i) {
+  const auto outcomes = lane_sets::forks(
+      2, 1, cells, [](const Scenario& s, std::size_t i) {
         if (i == 3) {
           ::_exit(42);  // simulated crash (e.g. a fatal RBX_CHECK)
         }
@@ -241,13 +222,13 @@ TEST(MultiProcessExecutorTest, PoisonousCellFailsAfterKillingTwoWorkers) {
   }
 }
 
-TEST(MultiProcessExecutorTest, EmptyCellsAndWorkerClamp) {
+TEST(ForkLaneTest, EmptyCellsAndWorkerClamp) {
   const CellFn fn = backend_fn();
-  EXPECT_TRUE(MultiProcessExecutor({4, 2}).run({}, fn).empty());
+  EXPECT_TRUE(lane_sets::forks(4, 2, {}, fn).empty());
   // One cell, many workers: clamps to one batch/one worker.
   const std::vector<Scenario> cells(1, Scenario::symmetric(2, 1.0, 1.0));
-  const auto outcomes = MultiProcessExecutor({8, 0}).run(
-      cells, [](const Scenario& s, std::size_t) {
+  const auto outcomes = lane_sets::forks(
+      8, 0, cells, [](const Scenario& s, std::size_t) {
         ResultSet out("test", s.label());
         out.set("x", 1.0);
         return out;

@@ -11,7 +11,7 @@ TEST(ExperimentOptions, Defaults) {
   const auto opts = ExperimentOptions::parse(1, argv, 5000, 7);
   EXPECT_EQ(opts.samples, 5000u);
   EXPECT_EQ(opts.nmax, 7u);
-  EXPECT_EQ(opts.threads, 0u);  // 0 = hardware concurrency in SweepEngine
+  EXPECT_EQ(opts.threads, 0u);  // 0 = hardware concurrency (ThreadLane)
 }
 
 TEST(ExperimentOptions, ParsesFlags) {

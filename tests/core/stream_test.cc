@@ -16,6 +16,7 @@
 #include "core/eval_context.h"
 #include "core/executor.h"
 #include "core/scenario.h"
+#include "lane_sets.h"
 #include "support/stats.h"
 #include "support/wire.h"
 
@@ -132,15 +133,15 @@ TEST(StreamAccuracy, StreamedMeanAgreesWithSequentialMean) {
 
 TEST(StreamLanes, ForkLaneMatchesThreadLaneBitwise) {
   // The stream axis must survive the Scenario wire codec: forked workers
-  // decode their cells from frames, so byte-equality across executors
+  // decode their cells from frames, so byte-equality across lanes
   // proves the stream seed derivation happens after the codec, not
   // before it.
   const std::vector<Scenario> cells = streamed_cells();
   const CellFn fn = [](const Scenario& s, std::size_t) {
     return monte_carlo_backend().evaluate(s);
   };
-  const auto reference = InProcessExecutor({1}).run(cells, fn);
-  const auto forked = MultiProcessExecutor({2, 1}).run(cells, fn);
+  const auto reference = lane_sets::threads(1, cells, fn);
+  const auto forked = lane_sets::forks(2, 1, cells, fn);
   ASSERT_EQ(reference.size(), forked.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     ASSERT_TRUE(reference[i].ok()) << reference[i].error;
@@ -164,8 +165,7 @@ TEST(StreamLanes, AdaptiveBudgetGivesClampedLanesThreadsBack) {
   // 4 configured threads, 1 cell: the lane raises one worker and the
   // adaptive budget hands it all 4 threads.
   {
-    const auto outcomes =
-        InProcessExecutor({4}).run({cell}, probe);
+    const auto outcomes = lane_sets::threads(4, {cell}, probe);
     ASSERT_EQ(outcomes.size(), 1u);
     ASSERT_TRUE(outcomes[0].ok()) << outcomes[0].error;
     EXPECT_EQ(outcomes[0].result.value("budget"), 4.0);
@@ -177,7 +177,7 @@ TEST(StreamLanes, AdaptiveBudgetGivesClampedLanesThreadsBack) {
     for (std::size_t i = 0; i < 8; ++i) {
       cells.push_back(Scenario(cell).seed(i + 1));
     }
-    const auto outcomes = InProcessExecutor({4}).run(cells, probe);
+    const auto outcomes = lane_sets::threads(4, cells, probe);
     for (const CellOutcome& outcome : outcomes) {
       ASSERT_TRUE(outcome.ok()) << outcome.error;
       EXPECT_EQ(outcome.result.value("budget"), 1.0);

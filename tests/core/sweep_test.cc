@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/backend.h"
+#include "lane_sets.h"
+
 namespace rbx {
 namespace {
 
@@ -60,47 +63,62 @@ std::vector<Scenario> mc_grid(std::uint64_t master_seed) {
       .expand(master_seed);
 }
 
-TEST(SweepEngineTest, SameGridAndSeedIsBitwiseIdentical) {
-  const SweepEngine engine({2});
-  const auto a = engine.run(mc_grid(11), monte_carlo_backend());
-  const auto b = engine.run(mc_grid(11), monte_carlo_backend());
+// The grid's Monte-Carlo results on `threads` worker threads.
+std::vector<ResultSet> mc_results(const std::vector<Scenario>& cells,
+                                  std::size_t threads) {
+  std::vector<ResultSet> out;
+  for (const CellOutcome& outcome : lane_sets::threads(
+           threads, cells, [](const Scenario& s, std::size_t) {
+             return monte_carlo_backend().evaluate(s);
+           })) {
+    EXPECT_TRUE(outcome.ok()) << outcome.error;
+    out.push_back(outcome.result);
+  }
+  return out;
+}
+
+TEST(SweepTest, SameGridAndSeedIsBitwiseIdentical) {
+  const auto a = mc_results(mc_grid(11), 2);
+  const auto b = mc_results(mc_grid(11), 2);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]) << "cell " << i;
   }
   // A different master seed changes every Monte-Carlo cell.
-  const auto c = engine.run(mc_grid(12), monte_carlo_backend());
+  const auto c = mc_results(mc_grid(12), 2);
   EXPECT_NE(a[0].value("mean_interval_x"), c[0].value("mean_interval_x"));
 }
 
-TEST(SweepEngineTest, ThreadCountDoesNotChangeResults) {
+TEST(SweepTest, ThreadCountDoesNotChangeResults) {
   const auto cells = mc_grid(17);
-  const auto serial = SweepEngine({1}).run(cells, monte_carlo_backend());
-  const auto parallel = SweepEngine({8}).run(cells, monte_carlo_backend());
+  const auto serial = mc_results(cells, 1);
+  const auto parallel = mc_results(cells, 8);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], parallel[i]) << "cell " << i;
   }
 }
 
-TEST(SweepEngineTest, CellFnReceivesIndexAndOrderIsPreserved) {
+TEST(SweepTest, CellFnReceivesIndexAndOrderIsPreserved) {
   std::vector<Scenario> cells(5, Scenario::symmetric(2, 1.0, 1.0));
-  const auto results = SweepEngine({4}).run(
-      cells, [](const Scenario& s, std::size_t index) {
+  const auto outcomes = lane_sets::threads(
+      4, cells, [](const Scenario& s, std::size_t index) {
         ResultSet out("test", s.label());
         out.set("index", static_cast<double>(index));
         return out;
       });
-  ASSERT_EQ(results.size(), 5u);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_DOUBLE_EQ(results[i].value("index"), static_cast<double>(i));
+  ASSERT_EQ(outcomes.size(), 5u);
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
+    EXPECT_DOUBLE_EQ(outcomes[i].result.value("index"),
+                     static_cast<double>(i));
   }
 }
 
-TEST(SweepEngineTest, DefaultsToHardwareConcurrency) {
-  EXPECT_GE(SweepEngine().threads(), 1u);
-  EXPECT_EQ(SweepEngine({3}).threads(), 3u);
-  EXPECT_TRUE(SweepEngine({2}).run({}, monte_carlo_backend()).empty());
+TEST(SweepTest, ThreadLaneDefaultsToHardwareConcurrency) {
+  EXPECT_GE(ThreadLane(0).threads(), 1u);
+  EXPECT_EQ(ThreadLane(3).threads(), 3u);
+  EXPECT_TRUE(mc_results({}, 2).empty());
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // The fleet lane contract: a sweep resolved through the registry is
 // bitwise identical to the same sweep with the daemons named on a
-// --connect list; a daemon killed mid-sweep is backfilled by a member
-// that joined the registry *after* the sweep started; and a keyed worker
-// refuses keyless, wrong-keyed and forged-lease coordinators with an
-// error frame - loudly, never a hang.  Workers and registry are the real
-// servers on loopback sockets inside threads.
+// --connect list (the same lane over a static member list, whose Hello
+// carries no lease but still authenticates); a daemon killed mid-sweep is
+// backfilled by a member that joined the registry *after* the sweep
+// started; and a keyed worker refuses keyless, wrong-keyed and
+// forged-lease coordinators with an error frame - loudly, never a hang.
+// Workers and registry are the real servers on loopback sockets inside
+// threads.
 #include "fleet/lane.h"
 
 #include <chrono>
@@ -24,7 +26,7 @@
 #include "fleet/auth.h"
 #include "fleet/client.h"
 #include "fleet/registry.h"
-#include "net/cluster.h"
+#include "lane_sets.h"
 #include "net/frame.h"
 #include "net/socket.h"
 #include "net/worker.h"
@@ -145,8 +147,7 @@ std::vector<CellOutcome> run_fleet_sweep(
 TEST(FleetLaneTest, RegistryResolvedSweepMatchesConnectBitwise) {
   const std::vector<Scenario> cells = mc_grid(211);
   const PlanFn plan = mc_plan();
-  const auto reference =
-      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+  const auto reference = lane_sets::threads(1, cells, local_fn_for(plan));
 
   TestWorker w1(worker_options(/*once=*/false, 0));
   TestWorker w2(worker_options(/*once=*/false, 0));
@@ -155,15 +156,10 @@ TEST(FleetLaneTest, RegistryResolvedSweepMatchesConnectBitwise) {
   registry.admit(w2);
 
   // The same daemons, named explicitly: the --connect baseline.
-  std::vector<CellOutcome> connect_run;
-  {
-    net::ClusterOptions copts;
-    copts.endpoints = {w1.endpoint(), w2.endpoint()};
-    copts.quiet = true;
-    net::ClusterExecutor cluster(std::move(copts));
-    cluster.set_plan_fn(plan);
-    connect_run = cluster.run(cells, CellFn());
-  }
+  const auto connect_run = run_fleet_sweep(
+      std::make_unique<fleet::FleetLane>(
+          lane_sets::connect({w1.endpoint(), w2.endpoint()})),
+      cells, plan);
 
   // Resolved through the registry instead: same bytes.
   const auto fleet_run = run_fleet_sweep(
@@ -188,8 +184,7 @@ TEST(FleetLaneTest, KeyedFleetSweepsEndToEnd) {
   const std::string key = "fleet-key";
   const std::vector<Scenario> cells = mc_grid(223);
   const PlanFn plan = mc_plan();
-  const auto reference =
-      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+  const auto reference = lane_sets::threads(1, cells, local_fn_for(plan));
 
   fleet::MemberTableOptions table;
   table.auth_key = key;
@@ -208,11 +203,66 @@ TEST(FleetLaneTest, KeyedFleetSweepsEndToEnd) {
   }
 }
 
+TEST(FleetLaneTest, KeyedConnectSweepAuthenticatesWithoutALease) {
+  // A keyed daemon named on a --connect list: the handshake proves key
+  // possession, and because the static member's Hello carries no lease
+  // the worker has no registry signature to refuse.
+  const std::string key = "fleet-key";
+  const std::vector<Scenario> cells = mc_grid(229);
+  const PlanFn plan = mc_plan();
+  const auto reference = lane_sets::threads(1, cells, local_fn_for(plan));
+
+  TestWorker w1(worker_options(/*once=*/false, 0, key));
+  auto options = lane_sets::connect({w1.endpoint()});
+  options.auth_key = key;
+  const auto connect_run = run_fleet_sweep(
+      std::make_unique<fleet::FleetLane>(options), cells, plan);
+  ASSERT_EQ(connect_run.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    ASSERT_TRUE(connect_run[i].ok()) << connect_run[i].error;
+    EXPECT_EQ(connect_run[i].result, reference[i].result) << "cell " << i;
+  }
+}
+
+TEST(FleetLaneTest, StaticMemberHelloIsAuthFlaggedButNeverLeased) {
+  // A listener standing in for a daemon captures the Hello a keyed
+  // --connect lane sends, then refuses it so the sweep ends.
+  net::Listener listener(0);
+  net::Hello seen;
+  std::thread fake([&]() {
+    net::FrameConn conn(listener.accept_client());
+    wire::Frame frame;
+    if (conn.recv(&frame) && frame.type == net::kFrameHello) {
+      wire::Reader r(frame.payload);
+      seen = net::Hello::decode(r);
+    }
+    wire::Writer w;
+    w.str("test: handshake captured");
+    conn.send(net::kFrameError, w.data());
+  });
+
+  auto options =
+      lane_sets::connect({net::Endpoint{"127.0.0.1", listener.port()}});
+  options.auth_key = "fleet-key";
+  DispatchOptions dopts;
+  dopts.readmit = false;
+  const auto outcomes = run_fleet_sweep(
+      std::make_unique<fleet::FleetLane>(options), mc_grid(233), mc_plan(),
+      dopts);
+  fake.join();
+  for (const CellOutcome& outcome : outcomes) {
+    EXPECT_FALSE(outcome.ok());  // the only worker refused
+  }
+  EXPECT_NE(seen.flags & kHelloFlagAuth, 0u);
+  EXPECT_EQ(seen.flags & kHelloFlagLease, 0u);
+  EXPECT_EQ(seen.lease_token, 0u);
+  EXPECT_EQ(seen.lease_sig, 0u);
+}
+
 TEST(FleetLaneTest, FreshJoinerBackfillsAWorkerKilledMidSweep) {
   const std::vector<Scenario> cells = mc_grid(227);
   const PlanFn plan = mc_plan();
-  const auto reference =
-      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+  const auto reference = lane_sets::threads(1, cells, local_fn_for(plan));
 
   // The only registered daemon answers one single-cell batch, then drops
   // the session - a deterministic mid-sweep kill.
@@ -226,8 +276,11 @@ TEST(FleetLaneTest, FreshJoinerBackfillsAWorkerKilledMidSweep) {
   auto lane_options = fleet_options(registry.endpoint());
   lane_options.readmit_delay_ms = 400;  // first revive lands after the
                                         // membership change below
-  auto lane = std::make_unique<fleet::FleetLane>(lane_options);
-  fleet::FleetLane* lane_ptr = lane.get();
+  DispatchOptions dopts;
+  dopts.batch_size = 1;  // the kill triggers on the second cell
+  dopts.handshake_timeout_ms = 2000;
+  // Outlives the sweep: the lane's backfill counter is read at the end.
+  lane_sets::RemoteSweep sweep(lane_options, plan, dopts);
 
   std::thread operator_thread([&]() {
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
@@ -238,10 +291,7 @@ TEST(FleetLaneTest, FreshJoinerBackfillsAWorkerKilledMidSweep) {
     client.join(fresh.join_info());   // capacity added mid-sweep
   });
 
-  DispatchOptions dopts;
-  dopts.batch_size = 1;  // the kill triggers on the second cell
-  dopts.handshake_timeout_ms = 2000;
-  const auto outcomes = run_fleet_sweep(std::move(lane), cells, plan, dopts);
+  const auto outcomes = sweep.run(cells);
   operator_thread.join();
 
   ASSERT_EQ(outcomes.size(), cells.size());
@@ -251,7 +301,7 @@ TEST(FleetLaneTest, FreshJoinerBackfillsAWorkerKilledMidSweep) {
     EXPECT_EQ(outcomes[i].result, reference[i].result) << "cell " << i;
   }
   // The loss was healed by a *different* member, not a reconnect.
-  EXPECT_GE(lane_ptr->backfills(), 1u);
+  EXPECT_GE(sweep.lane->backfills(), 1u);
 }
 
 TEST(FleetLaneTest, RequiredLaneFailsLoudlyOnAnEmptyRegistry) {

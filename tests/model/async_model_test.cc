@@ -163,10 +163,14 @@ TEST(AsyncModel, FourAndFiveProcessChainsAreWellFormed) {
 
 // Lumping check: the full model under homogeneous rates must agree exactly
 // with the simplified R1'-R4' chain (this pins down the OCR-damaged R2'
-// rate u(u-1)lambda/2).
+// rate u(u-1)lambda/2).  The inputs cover fig5's whole grid: n = 2..7 at
+// its own points lambda = 2 rho / (n - 1), rho in {0.5, 1, 2}.
 TEST(AsyncModel, FullModelMatchesSymmetricLumping) {
-  for (std::size_t n : {2u, 3u, 4u, 5u, 6u}) {
-    for (double lambda : {0.25, 1.0, 2.0}) {
+  for (std::size_t n : {2u, 3u, 4u, 5u, 6u, 7u}) {
+    const double nd = static_cast<double>(n);
+    // The last three are fig5's rho = 0.5, 1 and 2.
+    for (double lambda : {0.25, 1.0, 2.0, 1.0 / (nd - 1.0), 2.0 / (nd - 1.0),
+                          4.0 / (nd - 1.0)}) {
       AsyncRbModel full(ProcessSetParams::symmetric(n, 1.0, lambda));
       SymmetricAsyncModel lumped(n, 1.0, lambda);
       // Relative tolerances: at high rho the mean interval reaches 1e4+.

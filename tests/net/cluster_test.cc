@@ -1,11 +1,10 @@
-// The cluster transport contract: a sweep spanning TCP workers is
-// bitwise identical to an in-process run of the same plans - including a
-// run where a worker dies mid-sweep and its in-flight cells roll back to
-// the survivors (the distributed analogue of backward error recovery).
-// Workers here are real WorkerServer instances on loopback sockets inside
-// threads - the same code tools/sweep_workerd.cc runs.
-#include "net/cluster.h"
-
+// The cluster transport contract: a --connect sweep (a FleetLane over a
+// static member list) spanning TCP workers is bitwise identical to an
+// in-process run of the same plans - including a run where a worker dies
+// mid-sweep and its in-flight cells roll back to the survivors (the
+// distributed analogue of backward error recovery).  Workers here are
+// real WorkerServer instances on loopback sockets inside threads - the
+// same code tools/sweep_workerd.cc runs.
 #include <cstddef>
 #include <string>
 #include <thread>
@@ -14,8 +13,11 @@
 #include <gtest/gtest.h>
 
 #include "core/backend.h"
+#include "core/dispatch.h"
 #include "core/executor.h"
 #include "core/sweep.h"
+#include "fleet/lane.h"
+#include "lane_sets.h"
 #include "net/frame.h"
 #include "net/socket.h"
 #include "net/worker.h"
@@ -47,8 +49,8 @@ CellFn local_fn_for(const PlanFn& plan) {
 }
 
 // A worker on an ephemeral loopback port, serving one connection on its
-// own thread (joined on destruction - destroy the executor, which closes
-// its connections, before the worker leaves scope).
+// own thread (joined on destruction - destroy the sweep, which closes its
+// connections, before the worker leaves scope).
 struct TestWorker {
   explicit TestWorker(std::size_t fail_after = 0, std::size_t delay_ms = 0)
       : server(net::WorkerOptions{/*port=*/0, /*once=*/true, fail_after,
@@ -83,28 +85,23 @@ struct PoolWorker {
   std::thread thread;
 };
 
-net::ClusterOptions cluster_options(std::vector<net::Endpoint> endpoints,
-                                    std::size_t batch = 0) {
-  net::ClusterOptions options;
-  options.endpoints = std::move(endpoints);
+DispatchOptions batch_of(std::size_t batch) {
+  DispatchOptions options;
   options.batch_size = batch;
-  options.quiet = true;
   return options;
 }
 
-TEST(ClusterExecutorTest, MatchesInProcessBitwise) {
+TEST(ConnectLaneTest, MatchesInProcessBitwise) {
   const std::vector<Scenario> cells = mc_grid(17);
   const PlanFn plan = mc_plan();
-  const auto reference =
-      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+  const auto reference = lane_sets::threads(1, cells, local_fn_for(plan));
 
   TestWorker w1;
   TestWorker w2;
   {
-    net::ClusterExecutor cluster(
-        cluster_options({w1.endpoint(), w2.endpoint()}));
-    cluster.set_plan_fn(plan);
-    const auto remote = cluster.run(cells, CellFn());
+    lane_sets::RemoteSweep cluster(
+        lane_sets::connect({w1.endpoint(), w2.endpoint()}), plan);
+    const auto remote = cluster.run(cells);
     ASSERT_EQ(remote.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
       ASSERT_TRUE(remote[i].ok()) << "cell " << i << ": " << remote[i].error;
@@ -113,11 +110,10 @@ TEST(ClusterExecutorTest, MatchesInProcessBitwise) {
   }
 }
 
-TEST(ClusterExecutorTest, WorkerLossMidSweepRequeuesAndStaysBitwise) {
+TEST(ConnectLaneTest, WorkerLossMidSweepRequeuesAndStaysBitwise) {
   const std::vector<Scenario> cells = mc_grid(23);
   const PlanFn plan = mc_plan();
-  const auto reference =
-      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+  const auto reference = lane_sets::threads(1, cells, local_fn_for(plan));
 
   // The healthy worker is throttled slightly so it cannot drain the whole
   // queue before the dying worker's handshake settles - without the
@@ -128,11 +124,10 @@ TEST(ClusterExecutorTest, WorkerLossMidSweepRequeuesAndStaysBitwise) {
   // next batch in flight: a deterministic mid-sweep kill.
   TestWorker dying(/*fail_after=*/1);
   {
-    net::ClusterExecutor cluster(
-        cluster_options({healthy.endpoint(), dying.endpoint()},
-                        /*batch=*/1));
-    cluster.set_plan_fn(plan);
-    const auto remote = cluster.run(cells, CellFn());
+    lane_sets::RemoteSweep cluster(
+        lane_sets::connect({healthy.endpoint(), dying.endpoint()}), plan,
+        batch_of(1));
+    const auto remote = cluster.run(cells);
     ASSERT_EQ(remote.size(), cells.size());
     // Every cell completed (the lost worker's cells re-ran on the
     // survivor) and the rerun is bitwise identical: per-cell seeds make
@@ -141,25 +136,25 @@ TEST(ClusterExecutorTest, WorkerLossMidSweepRequeuesAndStaysBitwise) {
       ASSERT_TRUE(remote[i].ok()) << "cell " << i << ": " << remote[i].error;
       EXPECT_EQ(remote[i].result, reference[i].result) << "cell " << i;
     }
-    EXPECT_EQ(cluster.live_workers(), 1u);
+    EXPECT_EQ(cluster.lane->live(), 1u);
   }
 }
 
-TEST(ClusterExecutorTest, AllWorkersLostFailsRemainingCellsWithoutHanging) {
+TEST(ConnectLaneTest, AllWorkersLostFailsRemainingCellsWithoutHanging) {
   const std::vector<Scenario> cells = mc_grid(31);
   const PlanFn plan = mc_plan();
 
   TestWorker dying(/*fail_after=*/1);
   {
-    auto options = cluster_options({dying.endpoint()}, /*batch=*/1);
+    DispatchOptions options = batch_of(1);
     // Without re-admission: the dead worker's listener is still bound (the
     // test object is in scope), so each revival attempt would connect and
-    // then burn a full handshake timeout - the pre-refactor semantics of
-    // "everyone is gone" are what this test pins.
+    // then burn a full handshake timeout - the semantics of "everyone is
+    // gone" are what this test pins.
     options.readmit = false;
-    net::ClusterExecutor cluster(std::move(options));
-    cluster.set_plan_fn(plan);
-    const auto remote = cluster.run(cells, CellFn());
+    lane_sets::RemoteSweep cluster(lane_sets::connect({dying.endpoint()}),
+                                   plan, options);
+    const auto remote = cluster.run(cells);
     ASSERT_EQ(remote.size(), cells.size());
     std::size_t completed = 0;
     std::size_t failed = 0;
@@ -175,15 +170,14 @@ TEST(ClusterExecutorTest, AllWorkersLostFailsRemainingCellsWithoutHanging) {
     // must come back as per-cell errors, never a hang.
     EXPECT_EQ(completed, 1u);
     EXPECT_EQ(failed, cells.size() - 1);
-    EXPECT_EQ(cluster.live_workers(), 0u);
+    EXPECT_EQ(cluster.lane->live(), 0u);
   }
 }
 
-TEST(ClusterExecutorTest, SkipsUnreachableEndpointAndStillCompletes) {
+TEST(ConnectLaneTest, SkipsUnreachableEndpointAndStillCompletes) {
   const std::vector<Scenario> cells = mc_grid(41);
   const PlanFn plan = mc_plan();
-  const auto reference =
-      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+  const auto reference = lane_sets::threads(1, cells, local_fn_for(plan));
 
   // Find a dead port by binding an ephemeral listener and closing it.
   std::uint16_t dead_port = 0;
@@ -194,21 +188,20 @@ TEST(ClusterExecutorTest, SkipsUnreachableEndpointAndStillCompletes) {
 
   TestWorker alive;
   {
-    auto options = cluster_options(
+    auto options = lane_sets::connect(
         {net::Endpoint{"127.0.0.1", dead_port}, alive.endpoint()});
     options.connect_retries = 0;  // fail the dead endpoint fast
-    net::ClusterExecutor cluster(std::move(options));
-    cluster.set_plan_fn(plan);
-    const auto remote = cluster.run(cells, CellFn());
+    lane_sets::RemoteSweep cluster(std::move(options), plan);
+    const auto remote = cluster.run(cells);
     for (std::size_t i = 0; i < cells.size(); ++i) {
       ASSERT_TRUE(remote[i].ok()) << remote[i].error;
       EXPECT_EQ(remote[i].result, reference[i].result);
     }
-    EXPECT_EQ(cluster.live_workers(), 1u);
+    EXPECT_EQ(cluster.lane->live(), 1u);
   }
 }
 
-TEST(ClusterExecutorTest, TwoCoordinatorsShareOneDaemonPoolConcurrently) {
+TEST(ConnectLaneTest, TwoCoordinatorsShareOneDaemonPoolConcurrently) {
   // The accept-backlog fix: a daemon pool serves two sweeps at once, each
   // coordinator on its own session, and both print the reference bytes.
   PoolWorker w1(/*max_coordinators=*/2);
@@ -217,12 +210,10 @@ TEST(ClusterExecutorTest, TwoCoordinatorsShareOneDaemonPoolConcurrently) {
   const auto sweep_matches_reference = [&](std::uint64_t master_seed) {
     const std::vector<Scenario> cells = mc_grid(master_seed);
     const PlanFn plan = mc_plan();
-    const auto reference =
-        InProcessExecutor({1}).run(cells, local_fn_for(plan));
-    net::ClusterExecutor cluster(
-        cluster_options({w1.endpoint(), w2.endpoint()}));
-    cluster.set_plan_fn(plan);
-    const auto remote = cluster.run(cells, CellFn());
+    const auto reference = lane_sets::threads(1, cells, local_fn_for(plan));
+    lane_sets::RemoteSweep cluster(
+        lane_sets::connect({w1.endpoint(), w2.endpoint()}), plan);
+    const auto remote = cluster.run(cells);
     if (remote.size() != cells.size()) {
       return false;
     }
@@ -244,7 +235,7 @@ TEST(ClusterExecutorTest, TwoCoordinatorsShareOneDaemonPoolConcurrently) {
   EXPECT_TRUE(second_ok);
 }
 
-TEST(ClusterExecutorTest, CoordinatorBeyondCapacityIsRefusedNotBacklogged) {
+TEST(ConnectLaneTest, CoordinatorBeyondCapacityIsRefusedNotBacklogged) {
   PoolWorker worker(/*max_coordinators=*/1);
 
   net::FrameConn first(net::connect_to(worker.endpoint(), /*retries=*/5));
@@ -266,11 +257,10 @@ TEST(ClusterExecutorTest, CoordinatorBeyondCapacityIsRefusedNotBacklogged) {
   EXPECT_NE(r.str().find("max-coordinators"), std::string::npos);
 }
 
-TEST(ClusterExecutorTest, StealsStragglerTailAndStaysBitwise) {
+TEST(ConnectLaneTest, StealsStragglerTailAndStaysBitwise) {
   const std::vector<Scenario> cells = mc_grid(53);
   const PlanFn plan = mc_plan();
-  const auto reference =
-      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+  const auto reference = lane_sets::threads(1, cells, local_fn_for(plan));
 
   TestWorker fast;
   // Holds every batch for 800 ms - far longer than the rest of the grid
@@ -278,15 +268,16 @@ TEST(ClusterExecutorTest, StealsStragglerTailAndStaysBitwise) {
   // the fast worker must steal them to finish.
   TestWorker slow(/*fail_after=*/0, /*delay_ms=*/800);
   {
-    auto options = cluster_options({fast.endpoint(), slow.endpoint()},
-                                   /*batch=*/1);
+    DispatchOptions options = batch_of(1);
     options.steal = true;
-    net::ClusterExecutor cluster(std::move(options));
-    cluster.set_plan_fn(plan);
+    lane_sets::RemoteSweep sweep(
+        lane_sets::connect({fast.endpoint(), slow.endpoint()}), plan,
+        options);
+    const HybridExecutor& cluster = sweep.executor;
 
     // Sweep 1: the straggler holds its batch, the fast worker drains the
     // queue and must steal the tail to finish.
-    const auto first = cluster.run(cells, CellFn());
+    const auto first = sweep.run(cells);
     ASSERT_EQ(first.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
       ASSERT_TRUE(first[i].ok()) << "cell " << i << ": " << first[i].error;
@@ -303,7 +294,7 @@ TEST(ClusterExecutorTest, StealsStragglerTailAndStaysBitwise) {
     // handshake barrier).  Either way the bytes cannot change, and the
     // per-run counter reports this sweep alone - asserting the lifetime
     // counter across runs was the accumulation bug the split fixed.
-    const auto second = cluster.run(cells, CellFn());
+    const auto second = sweep.run(cells);
     ASSERT_EQ(second.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
       ASSERT_TRUE(second[i].ok()) << "cell " << i << ": " << second[i].error;
@@ -314,11 +305,10 @@ TEST(ClusterExecutorTest, StealsStragglerTailAndStaysBitwise) {
   }
 }
 
-TEST(ClusterExecutorTest, HungHandshakeWorkerIsDemotedNotWaitedOn) {
+TEST(ConnectLaneTest, HungHandshakeWorkerIsDemotedNotWaitedOn) {
   const std::vector<Scenario> cells = mc_grid(59);
   const PlanFn plan = mc_plan();
-  const auto reference =
-      InProcessExecutor({1}).run(cells, local_fn_for(plan));
+  const auto reference = lane_sets::threads(1, cells, local_fn_for(plan));
 
   // A listener that is never accepted: TCP connects fine (backlog), but
   // no Hello is ever answered - the "accepts TCP, never speaks" stall.
@@ -326,18 +316,19 @@ TEST(ClusterExecutorTest, HungHandshakeWorkerIsDemotedNotWaitedOn) {
 
   TestWorker alive;
   {
-    auto options = cluster_options(
-        {net::Endpoint{"127.0.0.1", hung.port()}, alive.endpoint()});
+    DispatchOptions options;
     options.handshake_timeout_ms = 300;
-    net::ClusterExecutor cluster(std::move(options));
-    cluster.set_plan_fn(plan);
-    const auto remote = cluster.run(cells, CellFn());
+    lane_sets::RemoteSweep cluster(
+        lane_sets::connect(
+            {net::Endpoint{"127.0.0.1", hung.port()}, alive.endpoint()}),
+        plan, options);
+    const auto remote = cluster.run(cells);
     ASSERT_EQ(remote.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
       ASSERT_TRUE(remote[i].ok()) << remote[i].error;
       EXPECT_EQ(remote[i].result, reference[i].result);
     }
-    EXPECT_EQ(cluster.live_workers(), 1u);
+    EXPECT_EQ(cluster.lane->live(), 1u);
   }
 }
 

@@ -1,8 +1,9 @@
 // The hybrid contract: one sweep spanning threads + forked workers + TCP
-// daemons is bitwise identical to a serial run; losing every TCP worker
-// degrades to the local lanes instead of failing; and a daemon killed
-// mid-sweep that comes back is re-admitted - reconnected, re-handshaken
-// against the same grid fingerprint - without changing a byte of output.
+// daemons (a --connect FleetLane) is bitwise identical to a serial run;
+// losing every TCP worker degrades to the local lanes instead of failing;
+// and a daemon killed mid-sweep that comes back is re-admitted -
+// reconnected, re-handshaken against the same grid fingerprint - without
+// changing a byte of output.
 // Plus the merge-from-sockets path: --merge consuming a ShardPartial
 // stream from a socket next to a partial file.
 #include <atomic>
@@ -21,7 +22,8 @@
 #include "core/experiment.h"
 #include "core/lane.h"
 #include "core/sweep.h"
-#include "net/cluster.h"
+#include "fleet/lane.h"
+#include "lane_sets.h"
 #include "net/frame.h"
 #include "net/socket.h"
 #include "net/worker.h"
@@ -79,13 +81,6 @@ struct TestWorker {
   std::thread thread;
 };
 
-net::TcpLaneOptions tcp_options(std::vector<net::Endpoint> endpoints) {
-  net::TcpLaneOptions options;
-  options.endpoints = std::move(endpoints);
-  options.quiet = true;
-  return options;
-}
-
 TEST(HybridExecutorTest, ThreadsForksAndTcpWorkersMatchSerialBitwise) {
   const std::vector<Scenario> cells = mc_grid(101);
   const PlanFn plan = mc_plan();
@@ -98,8 +93,8 @@ TEST(HybridExecutorTest, ThreadsForksAndTcpWorkersMatchSerialBitwise) {
     std::vector<std::unique_ptr<Lane>> lanes;
     lanes.push_back(std::make_unique<ForkLane>(2));
     lanes.push_back(std::make_unique<ThreadLane>(2));
-    lanes.push_back(std::make_unique<net::TcpLane>(
-        tcp_options({w1.endpoint(), w2.endpoint()})));
+    lanes.push_back(std::make_unique<fleet::FleetLane>(
+        lane_sets::connect({w1.endpoint(), w2.endpoint()})));
     DispatchOptions options;
     options.steal = true;
     options.quiet = true;
@@ -128,8 +123,8 @@ TEST(HybridExecutorTest, AllTcpWorkersLostFallsBackToLocalLanes) {
   {
     std::vector<std::unique_ptr<Lane>> lanes;
     lanes.push_back(std::make_unique<ThreadLane>(2));
-    lanes.push_back(
-        std::make_unique<net::TcpLane>(tcp_options({dying.endpoint()})));
+    lanes.push_back(std::make_unique<fleet::FleetLane>(
+        lane_sets::connect({dying.endpoint()})));
     DispatchOptions options;
     options.batch_size = 1;
     options.quiet = true;
@@ -151,7 +146,7 @@ TEST(HybridExecutorTest, AllTcpWorkersLostFallsBackToLocalLanes) {
 TEST(HybridExecutorTest, RestartedDaemonIsReadmittedMidSweep) {
   // The backward-error-recovery loop applied to the pool itself: a daemon
   // dies with a batch in flight, its cells roll back to the steady
-  // worker, the daemon restarts on the same port, and the dispatch core
+  // worker, the daemon restarts on the same port, and the executor
   // reconnects + re-handshakes it against the same grid fingerprint and
   // hands it work again - with byte-identical output.
   const std::vector<Scenario> cells = mc_grid(107, /*samples=*/100);
@@ -203,12 +198,12 @@ TEST(HybridExecutorTest, RestartedDaemonIsReadmittedMidSweep) {
   });
 
   {
-    net::TcpLaneOptions tcp = tcp_options(
-        {net::Endpoint{"127.0.0.1", steady.port()},
-         net::Endpoint{"127.0.0.1", port}});
-    tcp.readmit_delay_ms = 50;
+    fleet::FleetLaneOptions remote =
+        lane_sets::connect({net::Endpoint{"127.0.0.1", steady.port()},
+                            net::Endpoint{"127.0.0.1", port}});
+    remote.readmit_delay_ms = 50;
     std::vector<std::unique_ptr<Lane>> lanes;
-    lanes.push_back(std::make_unique<net::TcpLane>(std::move(tcp)));
+    lanes.push_back(std::make_unique<fleet::FleetLane>(std::move(remote)));
     DispatchOptions options;
     options.batch_size = 1;
     options.quiet = true;
