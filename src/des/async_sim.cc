@@ -20,41 +20,32 @@ void AsyncSimResult::merge(const AsyncSimResult& other) {
   line_age.merge(other.line_age);
 }
 
-AsyncRbSimulator::AsyncRbSimulator(ProcessSetParams params, std::uint64_t seed)
-    : params_(std::move(params)), rng_(seed) {
-  const std::size_t n = params_.n();
-  for (std::size_t i = 0; i < n; ++i) {
-    weights_.push_back(params_.mu(i));
+namespace {
+
+// The event categories' rates: every process's RP rate, then each pair's.
+std::vector<double> event_rates(
+    const ProcessSetParams& params,
+    const std::vector<std::pair<std::size_t, std::size_t>>& pairs) {
+  std::vector<double> rates = params.mu();
+  for (const auto& [i, j] : pairs) {
+    rates.push_back(params.lambda(i, j));
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (params_.lambda(i, j) > 0.0) {
-        weights_.push_back(params_.lambda(i, j));
-        pairs_.push_back({i, j});
-      }
-    }
-  }
-  total_rate_ = 0.0;
-  for (double w : weights_) {
-    total_rate_ += w;
-  }
-  RBX_CHECK(total_rate_ > 0.0);
+  return rates;
 }
 
-AsyncRbSimulator::EventDraw AsyncRbSimulator::next_event() {
-  EventDraw draw;
-  draw.dt = rng_.exponential(total_rate_);
-  const std::size_t k = rng_.categorical(weights_.data(), weights_.size());
-  if (k < params_.n()) {
-    draw.is_rp = true;
-    draw.a = k;
-    draw.b = k;
-  } else {
-    draw.is_rp = false;
-    draw.a = pairs_[k - params_.n()].first;
-    draw.b = pairs_[k - params_.n()].second;
+}  // namespace
+
+AsyncRbSimulator::AsyncRbSimulator(ProcessSetParams params, std::uint64_t seed)
+    : params_(std::move(params)),
+      rng_(seed),
+      pairs_(params_.interacting_pairs()),
+      table_(event_rates(params_, pairs_)) {
+  for (std::size_t i = 0; i < params_.n(); ++i) {
+    bits_.push_back(std::size_t{1} << i);
   }
-  return draw;
+  for (const auto& [i, j] : pairs_) {
+    bits_.push_back((std::size_t{1} << i) | (std::size_t{1} << j));
+  }
 }
 
 AsyncSimResult AsyncRbSimulator::run_lines(std::size_t lines,
@@ -71,8 +62,7 @@ AsyncSimResult AsyncRbSimulator::run_lines(std::size_t lines,
   double next_error = error_rate > 0.0
                           ? rng_.exponential(error_rate)
                           : std::numeric_limits<double>::infinity();
-  bool at_entry = true;  // logically all-ones, with rule R4 active
-  std::size_t mask = full;
+  std::size_t mask = full;  // the entry state
   incl_scratch_.assign(n, 0);
   state_changing_scratch_.assign(n, 0);
   std::vector<std::size_t>& incl = incl_scratch_;
@@ -80,57 +70,44 @@ AsyncSimResult AsyncRbSimulator::run_lines(std::size_t lines,
 
   std::size_t formed = 0;
   while (formed < lines) {
-    const EventDraw ev = next_event();
-    t += ev.dt;
+    const std::size_t k = next_event(t);
     // Sample the line age at every error instant passed by this event (the
     // error process is independent of RPs and interactions).
     while (next_error <= t) {
       result.line_age.add(next_error - line_start);
       next_error += rng_.exponential(error_rate);
     }
-    if (!ev.is_rp) {
+    if (k >= n) {
       // Interaction clears the pair's bits (rules R2 / R3).
-      const std::size_t bits =
-          (std::size_t{1} << ev.a) | (std::size_t{1} << ev.b);
-      if (at_entry || (mask & bits) != 0) {
-        mask = (at_entry ? full : mask) & ~bits;
-        at_entry = false;
-      }
+      mask &= ~bits_[k];
       continue;
     }
 
-    // Recovery point of process a.
-    const std::size_t bit = std::size_t{1} << ev.a;
-    ++incl[ev.a];
-    bool absorbed = false;
-    if (at_entry) {
-      // Rule R4: a fresh RP on the line re-forms a line immediately.
-      ++state_changing[ev.a];
-      absorbed = true;
-    } else if (!(mask & bit)) {
-      ++state_changing[ev.a];
-      mask |= bit;
-      absorbed = mask == full;
+    // Recovery point of process k.  It changes the chain's state at the
+    // entry state (rule R4: a fresh RP on the line re-forms a line
+    // immediately) or when x_k = 0; an RP while x_k = 1 (intermediate) is
+    // invisible to the chain and is counted in incl/excl only.
+    ++incl[k];
+    if (mask == full || (mask & bits_[k]) == 0) {
+      ++state_changing[k];
     }
-    // An RP while x_a = 1 (intermediate) is invisible to the chain: it is
-    // counted in incl/excl only.
+    mask |= bits_[k];
+    if (mask != full) {
+      continue;
+    }
 
-    if (absorbed) {
-      ++formed;
-      result.interval.add(t - line_start);
-      for (std::size_t i = 0; i < n; ++i) {
-        result.rp_incl_final[i].add(static_cast<double>(incl[i]));
-        // The line-forming RP (this one, owned by ev.a) is excluded from
-        // convention (b).
-        const std::size_t e = incl[i] - (i == ev.a ? 1 : 0);
-        result.rp_excl_final[i].add(static_cast<double>(e));
-        result.rp_state_changing[i].add(static_cast<double>(state_changing[i]));
-        incl[i] = state_changing[i] = 0;
-      }
-      line_start = t;
-      at_entry = true;
-      mask = full;
+    ++formed;
+    result.interval.add(t - line_start);
+    for (std::size_t i = 0; i < n; ++i) {
+      result.rp_incl_final[i].add(static_cast<double>(incl[i]));
+      // The line-forming RP (this one, owned by k) is excluded from
+      // convention (b).
+      const std::size_t e = incl[i] - (i == k ? 1 : 0);
+      result.rp_excl_final[i].add(static_cast<double>(e));
+      result.rp_state_changing[i].add(static_cast<double>(state_changing[i]));
+      incl[i] = state_changing[i] = 0;
     }
+    line_start = t;
   }
   return result;
 }
@@ -144,7 +121,6 @@ ExactLineResult AsyncRbSimulator::run_exact(std::size_t events) {
 
   const std::size_t full = (std::size_t{1} << n) - 1;
   double t = 0.0;
-  bool at_entry = true;
   std::size_t mask = full;
   double model_line_start = 0.0;
 
@@ -156,36 +132,22 @@ ExactLineResult AsyncRbSimulator::run_exact(std::size_t events) {
   double last_refresh = 0.0;
 
   for (std::size_t e = 0; e < events; ++e) {
-    const EventDraw ev = next_event();
-    t += ev.dt;
-
-    if (!ev.is_rp) {
-      history.add_interaction(ev.a, ev.b, t);
-      const std::size_t bits =
-          (std::size_t{1} << ev.a) | (std::size_t{1} << ev.b);
-      if (at_entry || (mask & bits) != 0) {
-        mask = (at_entry ? full : mask) & ~bits;
-        at_entry = false;
-      }
+    const std::size_t k = next_event(t);
+    if (k >= n) {
+      const auto [a, b] = pairs_[k - n];
+      history.add_interaction(a, b, t);
+      mask &= ~bits_[k];
       continue;
     }
 
-    history.add_recovery_point(ev.a, t);
+    history.add_recovery_point(k, t);
 
-    // Model observer.
-    const std::size_t bit = std::size_t{1} << ev.a;
-    bool absorbed = false;
-    if (at_entry) {
-      absorbed = true;
-    } else if (!(mask & bit)) {
-      mask |= bit;
-      absorbed = mask == full;
-    }
-    if (absorbed) {
+    // Model observer: the RP forms a line at the entry state or when it
+    // sets the last clear bit; otherwise setting its bit is all it does.
+    mask |= bits_[k];
+    if (mask == full) {
       result.model_interval.add(t - model_line_start);
       model_line_start = t;
-      at_entry = true;
-      mask = full;
     }
 
     // Exact observer: only an RP can advance the maximal line.

@@ -15,9 +15,21 @@
 //    often the true line advances - the model is conservative (it misses
 //    lines whose combinations mix old and new RPs), and this observer
 //    quantifies the gap (ablation ABL-LINE in DESIGN.md).
+//
+// Each event is two draws: its Exp(total rate) delay, then its category
+// from a CategoricalTable (k < n: an RP of process k; k >= n: an
+// interaction of pairs_[k - n]) - the same generator steps, and so the
+// same trajectory, as Rng::categorical over the rates.  The model
+// observer keeps one bit mask x of the last-action bits and a bit mask
+// per category: an interaction clears its pair's bits, and an RP of a
+// process whose bit is clear sets it.  The entry state (all ones with
+// rule R4 active: the next RP re-forms a line at once) is exactly
+// x == all ones, because an interaction always clears bits and an RP
+// that fills the mask forms the line.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "model/params.h"
@@ -75,19 +87,17 @@ class AsyncRbSimulator {
   ExactLineResult run_exact(std::size_t events);
 
  private:
-  struct EventDraw {
-    double dt;
-    bool is_rp;
-    std::size_t a;  // process (RP) or first party (interaction)
-    std::size_t b;  // second party (interaction only)
-  };
-  EventDraw next_event();
+  // Advances t to the next event and returns its category.
+  std::size_t next_event(double& t) {
+    t += rng_.exponential(table_.total());
+    return table_.sample(rng_);
+  }
 
   ProcessSetParams params_;
   Rng rng_;
-  std::vector<double> weights_;   // categorical weights: n RPs then pairs
-  std::vector<std::pair<std::size_t, std::size_t>> pairs_;
-  double total_rate_;
+  std::vector<std::pair<std::size_t, std::size_t>> pairs_;  // rate > 0
+  CategoricalTable table_;         // mu_0..mu_{n-1}, then each pair's rate
+  std::vector<std::size_t> bits_;  // the processes category k touches
   // Per-line RP counters, reused across run_lines calls (reset at every
   // line) instead of allocating per run.
   std::vector<std::size_t> incl_scratch_;

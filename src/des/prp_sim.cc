@@ -44,38 +44,38 @@ void PrpSimResult::merge(const PrpSimResult& other) {
   sync_lines_established += other.sync_lines_established;
 }
 
+namespace {
+
+// The event categories' rates: every process's RP rate, each pair's
+// interaction rate, then the error rate.
+std::vector<double> event_rates(
+    const ProcessSetParams& params,
+    const std::vector<std::pair<std::size_t, std::size_t>>& pairs,
+    double error_rate) {
+  std::vector<double> rates = params.mu();
+  for (const auto& [i, j] : pairs) {
+    rates.push_back(params.lambda(i, j));
+  }
+  rates.push_back(error_rate);
+  return rates;
+}
+
+}  // namespace
+
 PrpSimulator::PrpSimulator(ProcessSetParams params, PrpSimParams sim,
                            std::uint64_t seed)
-    : params_(std::move(params)), sim_(sim), rng_(seed) {
+    : params_(std::move(params)),
+      sim_(sim),
+      rng_(seed),
+      pairs_(params_.interacting_pairs()),
+      error_category_(params_.n() + pairs_.size()),
+      table_(event_rates(params_, pairs_, sim_.error_rate)) {
   RBX_CHECK(sim_.t_record >= 0.0);
   RBX_CHECK(sim_.error_rate > 0.0);
-  // Event categories: n RPs, the positive-rate pairs, then the error source.
-  const std::size_t n = params_.n();
-  for (std::size_t i = 0; i < n; ++i) {
-    weights_.push_back(params_.mu(i));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (params_.lambda(i, j) > 0.0) {
-        weights_.push_back(params_.lambda(i, j));
-        pairs_.push_back({i, j});
-      }
-    }
-  }
-  error_category_ = weights_.size();
-  weights_.push_back(sim_.error_rate);
-  total_rate_ = 0.0;
-  for (double w : weights_) {
-    total_rate_ += w;
-  }
 }
 
 PrpSimResult PrpSimulator::run(std::size_t failures) {
   const std::size_t n = params_.n();
-  const std::vector<double>& weights = weights_;
-  const std::vector<std::pair<std::size_t, std::size_t>>& pairs = pairs_;
-  const std::size_t error_category = error_category_;
-  const double total_rate = total_rate_;
 
   PrpSimResult result;
   History history(n);
@@ -101,7 +101,7 @@ PrpSimResult PrpSimulator::run(std::size_t failures) {
                          : std::numeric_limits<double>::infinity();
 
   while (result.failures < failures) {
-    t += rng_.exponential(total_rate);
+    t += rng_.exponential(table_.total());
     // Establish periodic synchronized lines (hybrid scheme); commits with
     // a latent error abort (their acceptance tests detect it), so those
     // sync instants are skipped.
@@ -112,9 +112,9 @@ PrpSimResult PrpSimulator::run(std::size_t failures) {
       }
       next_sync += sim_.sync_period;
     }
-    const std::size_t k = rng_.categorical(weights.data(), weights.size());
+    const std::size_t k = table_.sample(rng_);
 
-    if (k == error_category) {
+    if (k == error_category_) {
       // One outstanding error at a time keeps local/propagated ground truth
       // unambiguous; a second fault before recovery is dropped.
       if (!error_outstanding) {
@@ -127,7 +127,7 @@ PrpSimResult PrpSimulator::run(std::size_t failures) {
 
     if (k >= n) {
       // Interaction: record it and propagate contamination both ways.
-      const auto [a, b] = pairs[k - n];
+      const auto [a, b] = pairs_[k - n];
       history.add_interaction(a, b, clamp(t));
       if (contaminated_at[a] <= t && contaminated_at[b] > t) {
         contaminated_at[b] = t;

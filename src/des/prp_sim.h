@@ -97,12 +97,12 @@ class PrpSimulator {
   ProcessSetParams params_;
   PrpSimParams sim_;
   Rng rng_;
-  // Event-draw tables (n RPs, the positive-rate pairs, then the error
-  // source), built once here instead of at every run() call.
-  std::vector<double> weights_;
+  // Event categories, built once per simulator and kept across reseed():
+  // an RP of process k < n, the interaction pairs_[k - n] (positive-rate
+  // pairs only), then the error source.
   std::vector<std::pair<std::size_t, std::size_t>> pairs_;
   std::size_t error_category_ = 0;
-  double total_rate_ = 0.0;
+  CategoricalTable table_;
 };
 
 }  // namespace rbx

@@ -79,6 +79,20 @@ double ProcessSetParams::total_lambda() const {
   return sum;
 }
 
+std::vector<std::pair<std::size_t, std::size_t>>
+ProcessSetParams::interacting_pairs() const {
+  const std::size_t n = mu_.size();
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (lambda_[i * n + j] > 0.0) {
+        pairs.push_back({i, j});
+      }
+    }
+  }
+  return pairs;
+}
+
 double ProcessSetParams::interaction_rate(std::size_t i) const {
   RBX_CHECK(i < mu_.size());
   const std::size_t n = mu_.size();

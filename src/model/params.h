@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rbx {
@@ -47,6 +48,9 @@ class ProcessSetParams {
   double total_lambda() const;          // sum_{i<j} lambda_ij
   // Total interaction rate seen by process i: sum_{j != i} lambda_ij.
   double interaction_rate(std::size_t i) const;
+  // The pairs (i, j), i < j, with lambda_ij > 0 in row-major order: the
+  // interaction event categories of the simulators in des/.
+  std::vector<std::pair<std::size_t, std::size_t>> interacting_pairs() const;
   // Total event rate G = sum_{i<j} lambda_ij + sum_k mu_k, the paper's
   // normalization factor for the embedded discrete chain Y_d.
   double total_event_rate() const;

@@ -357,6 +357,18 @@ void register_default_kernels(KernelRegistry& registry) {
                   };
                 }});
 
+  registry.add({"des_async_lines_n6", "des", [] {
+                  // fig5's Monte-Carlo straggler, n=6 at rho=2: 21 event
+                  // categories, the widest draw a paper bench makes, and
+                  // ~3,700 events per line (~740,000 per op).
+                  auto sim = std::make_shared<AsyncRbSimulator>(
+                      ProcessSetParams::symmetric(6, 1.0, 0.8), 0x5eed);
+                  return [sim]() -> double {
+                    const AsyncSimResult r = sim->run_lines(200);
+                    return r.interval.mean();
+                  };
+                }});
+
   registry.add({"des_sync_lines", "des", [] {
                   SyncSimParams params;
                   params.mu = {1.0, 1.2, 0.8, 1.1};

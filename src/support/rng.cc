@@ -1,18 +1,8 @@
 #include "support/rng.h"
 
-#include <cmath>
-
 #include "support/check.h"
 
 namespace rbx {
-
-namespace {
-
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 Xoshiro256StarStar::Xoshiro256StarStar(std::uint64_t seed) {
   SplitMix64 sm(seed);
@@ -24,18 +14,6 @@ Xoshiro256StarStar::Xoshiro256StarStar(std::uint64_t seed) {
   if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0) {
     s_[0] = 0x853c49e6748fea9bULL;
   }
-}
-
-std::uint64_t Xoshiro256StarStar::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 void Xoshiro256StarStar::long_jump() {
@@ -61,10 +39,6 @@ void Xoshiro256StarStar::long_jump() {
   s_[3] = s3;
 }
 
-double Rng::uniform() {
-  return static_cast<double>(engine_.next() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) {
   RBX_DCHECK(lo <= hi);
   return lo + (hi - lo) * uniform();
@@ -86,19 +60,25 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
   }
 }
 
-double Rng::exponential(double rate) {
-  RBX_CHECK(rate > 0.0);
-  // Inverse transform on (0, 1]; 1 - uniform() is in (0, 1] so log() is
-  // finite.
-  return -std::log1p(-uniform()) / rate;
-}
-
 bool Rng::bernoulli(double p) {
   RBX_DCHECK(p >= 0.0 && p <= 1.0);
   return uniform() < p;
 }
 
 std::size_t Rng::categorical(const double* weights, std::size_t count) {
+  return categorical_index(uniform(), weights, count);
+}
+
+Rng Rng::split() {
+  Rng child = *this;
+  child.engine_.long_jump();
+  // Advance the parent as well so successive split() calls differ.
+  engine_.next();
+  return child;
+}
+
+std::size_t categorical_index(double unit, const double* weights,
+                              std::size_t count) {
   RBX_CHECK(count > 0);
   double total = 0.0;
   for (std::size_t i = 0; i < count; ++i) {
@@ -106,7 +86,7 @@ std::size_t Rng::categorical(const double* weights, std::size_t count) {
     total += weights[i];
   }
   RBX_CHECK(total > 0.0);
-  double u = uniform() * total;
+  double u = unit * total;
   for (std::size_t i = 0; i < count; ++i) {
     u -= weights[i];
     if (u < 0.0) {
@@ -122,12 +102,52 @@ std::size_t Rng::categorical(const double* weights, std::size_t count) {
   return count - 1;
 }
 
-Rng Rng::split() {
-  Rng child = *this;
-  child.engine_.long_jump();
-  // Advance the parent as well so successive split() calls differ.
-  engine_.next();
-  return child;
+CategoricalTable::CategoricalTable(const std::vector<double>& weights) {
+  const std::size_t count = weights.size();
+  RBX_CHECK(count > 0);
+  for (double w : weights) {
+    RBX_CHECK(w >= 0.0);
+    total_ += w;
+  }
+  RBX_CHECK(total_ > 0.0);
+
+  // K_i by bisection: the least draw whose index exceeds i, or 2^53 when
+  // none does.  Thresholds never decrease, so K_{i-1} bounds the search.
+  constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+  const auto index = [&weights](std::uint64_t k) {
+    return categorical_index(static_cast<double>(k) * 0x1.0p-53,
+                             weights.data(), weights.size());
+  };
+  std::uint64_t lo = 0;
+  for (std::size_t i = 0; i + 1 < count; ++i) {
+    std::uint64_t hi = kDraws;
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (index(mid) > i) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    thresholds_.push_back(lo);
+  }
+  thresholds_.push_back(UINT64_MAX);
+
+  // At least 8 buckets per weight, indexed by the draw's top bits.
+  unsigned bits = 0;
+  while ((std::size_t{1} << bits) < 8 * count) {
+    ++bits;
+  }
+  shift_ = 53 - bits;
+  guide_.resize(std::size_t{1} << bits);
+  std::size_t i = 0;
+  for (std::size_t b = 0; b < guide_.size(); ++b) {
+    const std::uint64_t first = static_cast<std::uint64_t>(b) << shift_;
+    while (thresholds_[i] <= first) {
+      ++i;
+    }
+    guide_[b] = i;
+  }
 }
 
 }  // namespace rbx

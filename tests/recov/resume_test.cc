@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -87,9 +88,14 @@ TEST(ResumePlanTest, CellCountMismatchRefuses) {
 
 // --- the dispatch seam ---------------------------------------------------
 
+// Records each evaluated cell in *evaluated (when non-null).  A thread
+// lane's workers call the function concurrently, so every copy of it
+// serializes the push through one shared mutex.
 CellFn indexed_fn(std::vector<std::size_t>* evaluated) {
-  return [evaluated](const Scenario& s, std::size_t i) {
+  auto mu = std::make_shared<std::mutex>();
+  return [evaluated, mu](const Scenario& s, std::size_t i) {
     if (evaluated != nullptr) {
+      const std::lock_guard<std::mutex> lock(*mu);
       evaluated->push_back(i);
     }
     ResultSet out("test", s.label());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -176,6 +177,117 @@ TEST(Rng, CategoricalMatchesWeights) {
   EXPECT_NEAR(counts[0] / static_cast<double>(trials), 0.1, 0.01);
   EXPECT_NEAR(counts[1] / static_cast<double>(trials), 0.3, 0.01);
   EXPECT_NEAR(counts[3] / static_cast<double>(trials), 0.6, 0.01);
+}
+
+// --- CategoricalTable: Rng::categorical, bit for bit ----------------------
+
+// Weight vectors that stress the exact draw: zero weights leading, in the
+// middle and trailing; 1e-9 weights next to unit ones; a single weight;
+// fig5's straggler (6 RPs at 1.0, 15 pairs at 0.8) and a PRP-shaped
+// vector; then random vectors mixing all of these with spreads of six
+// decades.
+std::vector<std::vector<double>> categorical_cases() {
+  std::vector<std::vector<double>> cases = {
+      {1.0},
+      {5.0},
+      {0.0, 0.0, 1.0},
+      {1.0, 0.0, 0.0},
+      {0.0, 1.0, 0.0, 2.0, 0.0},
+      {1e-9, 1.0, 1e-9},
+      {1e-9, 1e-9, 1e-9},
+      {1.0, 3.0, 0.0, 6.0},
+      {0.1, 0.2, 0.3, 0.4},
+  };
+  std::vector<double> fig5(6, 1.0);
+  fig5.resize(21, 0.8);
+  cases.push_back(fig5);
+  cases.push_back({1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.25});
+
+  Rng gen(0xca7e);
+  while (cases.size() < 60) {
+    std::vector<double> w(1 + gen.uniform_index(24));
+    for (double& x : w) {
+      const double pick = gen.uniform();
+      x = pick < 0.15   ? 0.0
+          : pick < 0.25 ? 1e-9
+                        : gen.uniform() * std::pow(10.0, gen.uniform(-3, 3));
+    }
+    double total = 0.0;
+    for (double x : w) {
+      total += x;
+    }
+    if (total > 0.0) {
+      cases.push_back(w);
+    }
+  }
+  return cases;
+}
+
+TEST(CategoricalTable, SampleMatchesCategoricalDrawForDraw) {
+  // >= 10^6 draws: every index and every engine state after each draw
+  // must equal the reference's.
+  const std::vector<std::vector<double>> cases = categorical_cases();
+  std::uint64_t seed = 1;
+  std::size_t draws = 0;
+  for (const std::vector<double>& w : cases) {
+    const CategoricalTable table(w);
+    Rng reference(seed);
+    Rng fast(seed);
+    ++seed;
+    for (int d = 0; d < 20000; ++d, ++draws) {
+      const std::size_t want = reference.categorical(w.data(), w.size());
+      const std::size_t got = table.sample(fast);
+      if (got != want || !(fast.engine() == reference.engine())) {
+        FAIL() << "case of " << w.size() << " weights, draw " << d
+               << ": table " << got << ", categorical " << want;
+      }
+    }
+  }
+  EXPECT_GE(draws, 1000000u);
+}
+
+TEST(CategoricalTable, ExactAtEveryThresholdAndOneUlpBelow) {
+  // uniform() is k * 2^-53, so one ulp of the draw is one step of k.  K_i
+  // must be the first draw whose index exceeds i: index <= i one ulp
+  // below it, > i at it, and the table agrees with the reference at both.
+  constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+  const auto reference = [](const std::vector<double>& w, std::uint64_t k) {
+    return categorical_index(static_cast<double>(k) * 0x1.0p-53, w.data(),
+                             w.size());
+  };
+  for (const std::vector<double>& w : categorical_cases()) {
+    const CategoricalTable table(w);
+    const std::vector<std::uint64_t>& thresholds = table.thresholds();
+    ASSERT_EQ(thresholds.size(), w.size());
+    EXPECT_EQ(table.index_at(0), reference(w, 0));
+    EXPECT_EQ(table.index_at(kDraws - 1), reference(w, kDraws - 1));
+    for (std::size_t i = 0; i + 1 < thresholds.size(); ++i) {
+      const std::uint64_t k = thresholds[i];
+      if (i > 0) {
+        ASSERT_GE(k, thresholds[i - 1]);
+      }
+      if (k >= kDraws) {
+        // Never reached: even the last draw keeps the index <= i.
+        EXPECT_LE(reference(w, kDraws - 1), i);
+        continue;
+      }
+      EXPECT_GT(reference(w, k), i);
+      EXPECT_EQ(table.index_at(k), reference(w, k));
+      if (k > 0) {
+        EXPECT_LE(reference(w, k - 1), i);
+        EXPECT_EQ(table.index_at(k - 1), reference(w, k - 1));
+      }
+    }
+  }
+}
+
+TEST(CategoricalTable, TotalIsCategoricalsSum) {
+  const std::vector<double> w = {0.1, 0.2, 0.3, 1e-9, 0.0, 7.5};
+  double total = 0.0;
+  for (double x : w) {
+    total += x;
+  }
+  EXPECT_EQ(CategoricalTable(w).total(), total);
 }
 
 TEST(Rng, SplitProducesIndependentStream) {
