@@ -52,8 +52,8 @@
 //                bench closures (core/backend.h);
 //   ShardSpec    k-way deterministic split of an expanded grid for
 //                multi-host batch sweeps: shard i of k evaluates cells
-//                with index % k == i, writes a ShardPartial, and
-//                PartialMerger / merge_shard_partials() reassembles the
+//                with index % k == i and journals them, and a merge -
+//                a resume over the shards' journals - reassembles the
 //                exact unsharded result vector (core/executor.h);
 //   SweepJournal crash durability (recov/journal.h, recov/resume.h): a
 //                CRC'd write-ahead log of cell commits, an ARIES-style
@@ -86,7 +86,7 @@
 //                --compare mode that fails on regressions.
 //
 // Scenario and ResultSet have exact binary round-trips (encode/decode on
-// support/wire.h) - the lanes and shard files depend on doubles being
+// support/wire.h) - the lanes and journals depend on doubles being
 // bit-preserved on the wire, which is what makes every execution mode
 // print identical tables.
 //
@@ -108,15 +108,16 @@
 // The same cells sharded across two hosts reproduce those results
 // bitwise:
 //
-//   host A: outcomes for shard_cell_indices(cells.size(), {0, 2})
-//   host B: outcomes for shard_cell_indices(cells.size(), {1, 2})
-//   merge_shard_partials({A, B}) == *runner.run(cells, ...)
+//   host A: journal the cells in shard_cell_indices(cells.size(), {0, 2})
+//   host B: journal the cells in shard_cell_indices(cells.size(), {1, 2})
+//   recov::plan_resume({&A, &B}, cells.size(), grid_fingerprint(cells))
+//       .take_results() == *runner.run(cells, ...)
 //
 // (benches expose this as --shard=i/k + --merge=A,B, where a merge
-// source is a partial file or the HOST:PORT of a --shard-serve run
-// streaming partials as they finish; see core/experiment.h's
-// SweepRunner).  For one live sweep spanning many machines - and the
-// local machine at once - the lane flags compose:
+// source is a journal file or the HOST:PORT of a --shard-serve run
+// streaming journal records; see core/experiment.h's SweepRunner).  For
+// one live sweep spanning many machines - and the local machine at once -
+// the lane flags compose:
 //
 //   fig5_mean_interval --threads=8 --workers=4
 //                      --connect=hostA:4701,hostB:4701 --steal

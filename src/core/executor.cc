@@ -1,7 +1,7 @@
 #include "core/executor.h"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "support/check.h"
 
@@ -200,156 +200,6 @@ std::uint64_t grid_fingerprint(const std::vector<Scenario>& cells) {
     h *= 0x100000001b3ULL;
   }
   return h;
-}
-
-void ShardPartial::encode(wire::Writer& w) const {
-  w.u64(shard.index);
-  w.u64(shard.count);
-  w.u64(total_cells);
-  w.u64(fingerprint);
-  w.u32(static_cast<std::uint32_t>(results.size()));
-  for (const auto& [index, result] : results) {
-    w.u64(index);
-    result.encode(w);
-  }
-}
-
-ShardPartial ShardPartial::decode(wire::Reader& r) {
-  ShardPartial out;
-  out.shard.index = static_cast<std::size_t>(r.u64());
-  out.shard.count = static_cast<std::size_t>(r.u64());
-  out.total_cells = static_cast<std::size_t>(r.u64());
-  out.fingerprint = r.u64();
-  if (out.shard.count == 0 || out.shard.index >= out.shard.count) {
-    throw wire::Error("shard partial: invalid shard spec");
-  }
-  const std::uint32_t count = r.u32();
-  if (r.remaining() / 8 < count) {
-    throw wire::Error("shard partial: truncated result list");
-  }
-  // The result count determines what total_cells can honestly be: this
-  // shard owns exactly ceil((total - index) / count_shards) cells.  A
-  // corrupt total_cells field must fail here, not as a huge allocation
-  // in merge_shard_partials.
-  const std::size_t expected_owned =
-      out.total_cells > out.shard.index
-          ? (out.total_cells - out.shard.index - 1) / out.shard.count + 1
-          : 0;
-  if (count != expected_owned) {
-    throw wire::Error("shard partial: " + std::to_string(count) +
-                      " results do not match the declared grid of " +
-                      std::to_string(out.total_cells) + " cells");
-  }
-  out.results.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::size_t index = static_cast<std::size_t>(r.u64());
-    if (index >= out.total_cells || !out.shard.owns(index)) {
-      throw wire::Error("shard partial: cell " + std::to_string(index) +
-                        " does not belong to this shard");
-    }
-    out.results.emplace_back(index, ResultSet::decode(r));
-  }
-  return out;
-}
-
-PartialMerger::PartialMerger(std::size_t total_cells,
-                             std::size_t shard_count,
-                             std::uint64_t fingerprint)
-    : shard_count_(shard_count),
-      fingerprint_(fingerprint),
-      shard_seen_(shard_count, false),
-      cell_seen_(total_cells, false),
-      results_(total_cells) {
-  if (shard_count == 0) {
-    throw wire::Error("shard merge: shard count must be >= 1");
-  }
-}
-
-void PartialMerger::apply(const ShardPartial& partial) {
-  if (partial.shard.count != shard_count_ ||
-      partial.total_cells != cell_seen_.size()) {
-    throw wire::Error(
-        "shard merge: partials disagree on the grid split (different "
-        "shard count or cell total)");
-  }
-  if (partial.fingerprint != fingerprint_) {
-    throw wire::Error(
-        "shard merge: partials were produced from different grids "
-        "(fingerprint mismatch - different --samples/--seed/options?)");
-  }
-  if (partial.shard.index >= shard_count_) {
-    throw wire::Error("shard merge: invalid shard index " +
-                      std::to_string(partial.shard.index));
-  }
-  if (shard_seen_[partial.shard.index]) {
-    throw wire::Error("shard merge: shard " +
-                      std::to_string(partial.shard.index) +
-                      " appears twice");
-  }
-  // Validate before mutating, so a rejected partial leaves the merger
-  // usable (a streaming caller may want to keep going without it).
-  std::vector<std::size_t> indices;
-  indices.reserve(partial.results.size());
-  for (const auto& [index, result] : partial.results) {
-    if (index >= cell_seen_.size() || !partial.shard.owns(index)) {
-      throw wire::Error("shard merge: cell " + std::to_string(index) +
-                        " does not belong to shard " +
-                        std::to_string(partial.shard.index));
-    }
-    if (cell_seen_[index]) {
-      throw wire::Error("shard merge: cell " + std::to_string(index) +
-                        " appears twice");
-    }
-    indices.push_back(index);
-  }
-  std::vector<std::size_t> sorted = indices;
-  std::sort(sorted.begin(), sorted.end());
-  for (std::size_t k = 1; k < sorted.size(); ++k) {
-    if (sorted[k] == sorted[k - 1]) {
-      throw wire::Error("shard merge: cell " + std::to_string(sorted[k]) +
-                        " appears twice");
-    }
-  }
-  shard_seen_[partial.shard.index] = true;
-  ++shards_applied_;
-  for (const auto& [index, result] : partial.results) {
-    cell_seen_[index] = true;
-    results_[index] = result;
-    ++cells_applied_;
-  }
-}
-
-std::vector<ResultSet> PartialMerger::take() {
-  for (std::size_t i = 0; i < cell_seen_.size(); ++i) {
-    if (!cell_seen_[i]) {
-      throw wire::Error("shard merge: cell " + std::to_string(i) +
-                        " is missing from every partial");
-    }
-  }
-  cell_seen_.clear();
-  shard_seen_.clear();
-  shards_applied_ = 0;
-  cells_applied_ = 0;
-  return std::move(results_);
-}
-
-std::vector<ResultSet> merge_shard_partials(
-    const std::vector<ShardPartial>& partials) {
-  if (partials.empty()) {
-    throw wire::Error("shard merge: no partials given");
-  }
-  const std::size_t count = partials.front().shard.count;
-  if (partials.size() != count) {
-    throw wire::Error("shard merge: expected " + std::to_string(count) +
-                      " partials (one per shard), got " +
-                      std::to_string(partials.size()));
-  }
-  PartialMerger merger(partials.front().total_cells, count,
-                       partials.front().fingerprint);
-  for (const ShardPartial& partial : partials) {
-    merger.apply(partial);
-  }
-  return merger.take();
 }
 
 }  // namespace rbx

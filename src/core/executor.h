@@ -12,16 +12,16 @@
 // every lane mix - the contract tests/core/executor_test.cc pins down.
 //
 // ShardSpec extends the same idea across hosts: shard i of k owns the
-// cells with index % k == i, evaluates only those, and writes a partial
-// result file; merge_shard_partials() reassembles the full result vector
-// bitwise identical to an unsharded run.
+// cells with index % k == i and evaluates only those, journaling them at
+// their full-grid indices (recov/journal.h); a merge is a resume over the
+// shards' journals (recov/resume.h) that reassembles the full result
+// vector bitwise identical to an unsharded run.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/backend.h"
@@ -130,68 +130,12 @@ std::vector<std::size_t> shard_cell_indices(std::size_t total_cells,
 // Order-sensitive digest of a grid's wire encoding.  Cells carry their
 // rates, knobs, budgets and seeds, so any option change that alters the
 // experiment (--samples, --seed, a different bench) changes the
-// fingerprint - which is how a merge refuses partials produced by a
-// different run instead of mixing them into silently wrong tables.
+// fingerprint - which is how a merge or a resume refuses journals produced
+// by a different run instead of mixing them into silently wrong tables.
 std::uint64_t grid_fingerprint(const std::vector<Scenario>& cells);
 
-// One shard's evaluated cells, the unit exchanged between hosts as a wire
-// frame (kShardPartial).
-struct ShardPartial {
-  ShardSpec shard;
-  std::size_t total_cells = 0;
-  std::uint64_t fingerprint = 0;  // grid_fingerprint of the full grid
-  // (cell index, result) pairs for every owned cell, in index order.
-  std::vector<std::pair<std::size_t, ResultSet>> results;
-
-  void encode(wire::Writer& w) const;
-  static ShardPartial decode(wire::Reader& r);
-};
-
-// Incremental (streaming) merge of shard partials: fix the split up
-// front, then apply() each partial as it arrives - from a file, or from a
-// worker that just finished - instead of buffering all of them for one
-// final merge.  take() hands out the full result vector once every cell
-// is covered; the result is bitwise identical to an unsharded run.
-class PartialMerger {
- public:
-  // The split every partial must match: `shard_count` shards of a grid of
-  // `total_cells` cells with this fingerprint.
-  PartialMerger(std::size_t total_cells, std::size_t shard_count,
-                std::uint64_t fingerprint);
-
-  // Applies one shard's results.  Throws wire::Error if the partial
-  // belongs to a different split or grid, repeats a shard, or re-covers a
-  // cell; the merger is unchanged in that case.
-  void apply(const ShardPartial& partial);
-
-  std::size_t applied_shards() const { return shards_applied_; }
-  bool complete() const { return cells_applied_ == results_.size(); }
-
-  // The full result vector; throws wire::Error naming a missing cell if
-  // any shard has not arrived.  Leaves the merger empty.
-  std::vector<ResultSet> take();
-
- private:
-  std::size_t shard_count_;
-  std::uint64_t fingerprint_;
-  std::vector<bool> shard_seen_;
-  std::vector<bool> cell_seen_;
-  std::vector<ResultSet> results_;
-  std::size_t shards_applied_ = 0;
-  std::size_t cells_applied_ = 0;
-};
-
-// Reassembles the full result vector from one partial per shard (a
-// PartialMerger fed everything at once).  Throws wire::Error unless the
-// partials are exactly shards 0..k-1 of the same k-way split of the same
-// grid (size and fingerprint), together covering every cell exactly once
-// - the merged vector is then bitwise identical to an unsharded run.
-std::vector<ResultSet> merge_shard_partials(
-    const std::vector<ShardPartial>& partials);
-
-// Wire frame types used by the dispatch layer and shard files.
+// Wire frame types of the dispatch layer's batches.
 inline constexpr std::uint16_t kFrameCellBatch = 1;
 inline constexpr std::uint16_t kFrameResultBatch = 2;
-inline constexpr std::uint16_t kFrameShardPartial = 3;
 
 }  // namespace rbx

@@ -167,6 +167,11 @@ ExperimentOptions ExperimentOptions::parse(int argc, char** argv,
       if (!parse_strict_u64(arg + 16, &n) || n == 0) {
         usage_error(prog, arg, "expected a positive worker count");
       }
+      // The grant cap travels as a u32 (fleet::FleetLaneOptions); a
+      // larger value would wrap into a different cap, or into "no cap".
+      if (n > 0xFFFFFFFFull) {
+        usage_error(prog, arg, "worker count must be at most 4294967295");
+      }
       opts.fleet_workers = static_cast<std::size_t>(n);
       continue;
     } else if (std::strncmp(arg, "--auth-key-file=", 16) == 0) {
@@ -368,38 +373,41 @@ ExperimentOptions ExperimentOptions::parse(int argc, char** argv,
   return opts;
 }
 
-// One source of shard partials for --merge: a preloaded partial file, or
-// a socket connected to a --shard-serve run that streams each section as
-// the shard finishes computing it.
+// One --merge source: a journal file, or a socket to a --shard-serve run
+// that streams each sweep's journal records the moment the sweep ends.
 struct SweepRunner::MergeSource {
   std::string name;
-  bool is_socket = false;
-  std::vector<wire::Frame> frames;       // file mode: all sections upfront
-  std::unique_ptr<net::FrameConn> conn;  // socket mode
+  std::unique_ptr<net::FrameConn> conn;  // null for a file source
+  recov::JournalAnalysis journal;        // the file, or what has streamed in
 
-  // The ShardPartial frame of sweep section `section`; throws wire::Error
-  // naming this source when it cannot supply one.
-  wire::Frame next(std::size_t section) {
-    if (is_socket) {
-      wire::Frame frame;
-      try {
-        if (!conn->recv(&frame)) {
-          throw wire::Error("'" + name + "' hung up before streaming sweep "
-                            "section " + std::to_string(section) +
+  // Sweep `section` of this source, checked against the merging grid.  A
+  // socket feeds each record it receives through the analysis pass's
+  // per-record step until that sweep's end record arrives.  Throws
+  // wire::Error naming this source when it cannot supply the sweep.
+  const recov::SweepState& sweep(std::size_t section, std::size_t total_cells,
+                                 std::uint64_t fingerprint) {
+    try {
+      while (conn != nullptr && (section >= journal.sweeps.size() ||
+                                 !journal.sweeps[section].ended)) {
+        wire::Frame record;
+        if (!conn->recv(&record)) {
+          throw wire::Error("hung up before streaming sweep section " +
+                            std::to_string(section) +
                             " (did the shard run fail?)");
         }
-      } catch (const wire::Error& e) {
-        throw wire::Error("'" + name + "': " + e.what());
+        recov::analyze_record(journal, record);
       }
-      return frame;
+      if (section >= journal.sweeps.size()) {
+        throw wire::Error("has only " +
+                          std::to_string(journal.sweeps.size()) +
+                          " sweep sections (bench expected more - was it "
+                          "written by this bench?)");
+      }
+      recov::check_grid(journal.sweeps[section], total_cells, fingerprint);
+    } catch (const wire::Error& e) {
+      throw wire::Error("'" + name + "': " + e.what());
     }
-    if (section >= frames.size()) {
-      throw wire::Error("'" + name + "' has only " +
-                        std::to_string(frames.size()) +
-                        " sweep sections (bench expected more - was it "
-                        "written by this bench?)");
-    }
-    return frames[section];
+    return journal.sweeps[section];
   }
 };
 
@@ -412,28 +420,22 @@ SweepRunner::SweepRunner(const ExperimentOptions& opts,
   if (!opts_.merge_inputs.empty()) {
     // Merge mode evaluates nothing, so no lanes are raised.  Sources that
     // parse as HOST:PORT are sockets to --shard-serve runs; everything
-    // else is a partial file.
+    // else is a journal file, analyzed up front.
     for (const std::string& input : opts_.merge_inputs) {
       auto source = std::make_unique<MergeSource>();
       source->name = input;
       net::Endpoint endpoint;
       std::string why;
-      if (net::parse_endpoint(input, &endpoint, &why)) {
-        source->is_socket = true;
-        try {
+      try {
+        if (net::parse_endpoint(input, &endpoint, &why)) {
           source->conn = std::make_unique<net::FrameConn>(
               net::connect_to(endpoint, /*retries=*/10));
-        } catch (const net::Error& e) {
-          std::fprintf(stderr, "merge: %s\n", e.what());
-          std::exit(1);
+        } else {
+          source->journal = recov::analyze_journal(input);
         }
-      } else {
-        try {
-          source->frames = wire::read_frames(input);
-        } catch (const wire::Error& e) {
-          std::fprintf(stderr, "merge: %s\n", e.what());
-          std::exit(1);
-        }
+      } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "merge: '%s': %s\n", input.c_str(), e.what());
+        std::exit(1);
       }
       merge_sources_.push_back(std::move(source));
     }
@@ -448,8 +450,8 @@ SweepRunner::SweepRunner(const ExperimentOptions& opts,
       std::exit(1);
     }
     std::fprintf(stderr,
-                 "shard: serving partials on port %u (waiting for a "
-                 "--merge peer)\n",
+                 "shard: serving journal records on port %u (waiting for "
+                 "a --merge peer)\n",
                  static_cast<unsigned>(shard_listener_->port()));
   }
   // Compose the execution lanes.  One executor serves the whole bench
@@ -501,7 +503,9 @@ SweepRunner::SweepRunner(const ExperimentOptions& opts,
 
   // Crash durability.  --resume runs the journal's analysis pass up front
   // (an unreadable or foreign journal is refused before any cell runs)
-  // and keeps appending to the same file; --journal starts a fresh log.
+  // and keeps appending to the same file; --journal starts a fresh log,
+  // and so does a --shard run at its --shard-out path (parse() sets it
+  // for file shards only): a shard file is the journal of its cells.
   if (!opts_.resume.empty()) {
     try {
       resume_state_ = std::make_unique<recov::JournalAnalysis>(
@@ -522,8 +526,9 @@ SweepRunner::SweepRunner(const ExperimentOptions& opts,
                  resume_state_->committed_cells(),
                  resume_state_->sweeps.size(), opts_.resume.c_str());
   }
-  const std::string journal_path =
-      !opts_.resume.empty() ? opts_.resume : opts_.journal;
+  const std::string& journal_path = !opts_.resume.empty()    ? opts_.resume
+                                    : !opts_.journal.empty() ? opts_.journal
+                                                             : opts_.shard_out;
   if (!journal_path.empty()) {
     recov::JournalWriter::Options jopts;
     jopts.truncate = opts_.resume.empty();  // --journal: fresh file
@@ -618,165 +623,71 @@ std::optional<std::vector<ResultSet>> SweepRunner::run_impl(
       opts_.streams > 1 ? streamed : cells_in;
   const std::size_t section = sweep_index_++;
   if (!merge_sources_.empty()) {
-    // Merge mode: take section `section` from every source, applying each
-    // partial to the merger as it arrives.  A file source has all its
-    // sections upfront; a socket source streams each one the moment the
-    // --shard-serve run finishes computing it, so the merge overlaps with
-    // the shards' work.
+    // Merge mode is a resume over the sources' journals that must end with
+    // no cell missing.  The plan is pinned to THIS invocation's grid, so a
+    // merge run with different --samples/--seed than the shard runs fails
+    // instead of printing tables that belong to other options.
     try {
-      // The merger is pinned to THIS invocation's grid fingerprint, so a
-      // merge run with different --samples/--seed than the shard runs
-      // fails instead of printing tables that belong to other options.
-      PartialMerger merger(cells.size(), merge_sources_.size(),
-                           grid_fingerprint(cells));
-      for (std::size_t f = 0; f < merge_sources_.size(); ++f) {
-        const wire::Frame frame = merge_sources_[f]->next(section);
-        if (frame.type != kFrameShardPartial) {
-          throw wire::Error("'" + merge_sources_[f]->name +
-                            "' section " + std::to_string(section) +
-                            " is not a shard partial");
-        }
-        wire::Reader r(frame.payload);
-        const ShardPartial partial = ShardPartial::decode(r);
-        r.expect_done();
-        try {
-          merger.apply(partial);
-        } catch (const wire::Error& e) {
-          throw wire::Error("'" + merge_sources_[f]->name + "': " +
-                            e.what());
-        }
+      const std::uint64_t fingerprint = grid_fingerprint(cells);
+      std::vector<const recov::SweepState*> states;
+      for (const auto& source : merge_sources_) {
+        states.push_back(&source->sweep(section, cells.size(), fingerprint));
       }
-      return merger.take();
+      return recov::plan_resume(states, cells.size(), fingerprint)
+          .take_results();
     } catch (const wire::Error& e) {
-      std::fprintf(stderr, "merge: %s\n", e.what());
+      std::fprintf(stderr, "merge: sweep %zu: %s\n", section, e.what());
       std::exit(1);
     }
   }
 
-  // shard_mode covers the degenerate --shard=0/1 (one shard owning every
-  // cell): it still writes/streams the partial instead of silently
-  // running in normal mode.
-  if (opts_.shard_mode) {
-    // Shard mode: evaluate the owned cells, append one partial section.
-    const std::vector<std::size_t> owned =
-        shard_cell_indices(cells.size(), opts_.shard);
-    std::vector<Scenario> owned_cells;
-    owned_cells.reserve(owned.size());
-    for (std::size_t index : owned) {
-      owned_cells.push_back(cells[index]);
-    }
-    // Cells keep their original grid index through the remap - plans and
-    // cell_fns that vary along the grid (e.g. "merge the exact backend
-    // for the first four cells") must see it, not the local position.
-    const PlanFn owned_plan_fn =
-        plan_fn == nullptr
-            ? PlanFn()
-            : PlanFn([&](const Scenario& cell, std::size_t local) {
-                return (*plan_fn)(cell, owned[local]);
-              });
-    const std::vector<CellOutcome> outcomes = evaluate(
-        owned_cells,
-        [&](const Scenario& cell, std::size_t local) {
-          return cell_fn(cell, owned[local]);
-        },
-        plan_fn == nullptr ? nullptr : &owned_plan_fn);
-    bool failed = false;
-    for (std::size_t k = 0; k < outcomes.size(); ++k) {
-      if (!outcomes[k].ok()) {
-        std::fprintf(stderr, "sweep cell %zu failed: %s\n", owned[k],
-                     outcomes[k].error.c_str());
-        failed = true;
-      }
-    }
-    if (failed) {
-      std::exit(1);
-    }
-    ShardPartial partial;
-    partial.shard = opts_.shard;
-    partial.total_cells = cells.size();
-    partial.fingerprint = grid_fingerprint(cells);
-    partial.results.reserve(owned.size());
-    for (std::size_t k = 0; k < owned.size(); ++k) {
-      partial.results.emplace_back(owned[k], outcomes[k].result);
-    }
-    wire::Writer payload;
-    partial.encode(payload);
-    const std::vector<std::byte> frame =
-        wire::seal_frame(kFrameShardPartial, payload.data());
-    if (opts_.shard_serve) {
-      // Stream the section to the one --merge peer the moment it exists;
-      // the merge applies it while later sweeps are still computing.
-      if (shard_conn_ == nullptr) {
-        try {
-          shard_conn_ = std::make_unique<net::FrameConn>(
-              shard_listener_->accept_client());
-        } catch (const net::Error& e) {
-          std::fprintf(stderr, "shard: %s\n", e.what());
-          std::exit(1);
-        }
-      }
-      if (!shard_conn_->send_frame(frame)) {
-        std::fprintf(stderr,
-                     "shard: the --merge peer hung up before taking sweep "
-                     "section %zu\n",
-                     section);
-        std::exit(1);
-      }
-      return std::nullopt;
-    }
-    partial_bytes_.insert(partial_bytes_.end(), frame.begin(), frame.end());
+  // Cells this run does not evaluate are pre-committed - a resumed
+  // journal's winners (the redo pass), or the cells other shards own - so
+  // they never reach a worker or the commit hook, and a shard's journal
+  // holds exactly its own cells at their full-grid indices.  (shard_mode
+  // covers the degenerate --shard=0/1: one shard owning every cell still
+  // journals instead of printing tables.)
+  const bool journaled = journal_ != nullptr || opts_.shard_mode;
+  const std::uint64_t fingerprint = journaled ? grid_fingerprint(cells) : 0;
+  std::size_t skipped = 0;
+  if (resume_state_ != nullptr && section < resume_state_->sweeps.size()) {
+    // A journal written by a different sweep (fingerprint or cell-count
+    // mismatch) is refused with exit 2 before anything evaluates.
+    recov::ResumePlan plan;
     try {
-      // Rewritten after every sweep so the file is complete once the bench
-      // exits (benches run a fixed sequence of sweeps).  Atomic (temp file
-      // + rename): a crash mid-rewrite leaves the previous sweep's
-      // complete partial, never a torn file that would poison the merge.
-      wire::write_file_atomic(opts_.shard_out, partial_bytes_);
+      plan = recov::plan_resume({&resume_state_->sweeps[section]},
+                                cells.size(), fingerprint);
     } catch (const wire::Error& e) {
-      std::fprintf(stderr, "shard: %s\n", e.what());
-      std::exit(1);
+      std::fprintf(stderr, "resume: %s\n", e.what());
+      std::exit(2);
     }
-    return std::nullopt;
+    skipped = plan.committed_cells();
+    std::vector<CellOutcome> seeded(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (plan.committed[i] != 0) {
+        seeded[i].result = std::move(plan.results[i]);
+      }
+    }
+    executor_->set_precommitted(std::move(plan.committed), std::move(seeded));
+    std::fprintf(stderr,
+                 "journal: sweep %zu: %zu/%zu cells already committed, "
+                 "evaluating %zu\n",
+                 section, skipped, cells.size(), cells.size() - skipped);
+  } else if (opts_.shard_mode) {
+    std::vector<std::uint8_t> others(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      others[i] = opts_.shard.owns(i) ? 0 : 1;
+      skipped += others[i];
+    }
+    executor_->set_precommitted(std::move(others),
+                                std::vector<CellOutcome>(cells.size()));
   }
-
-  std::vector<CellOutcome> outcomes;
+  char digest[96];
+  std::snprintf(digest, sizeof(digest),
+                "samples=%zu nmax=%zu seed=%llu streams=%zu", opts_.samples,
+                opts_.nmax, static_cast<unsigned long long>(opts_.seed),
+                opts_.streams);
   if (journal_ != nullptr) {
-    const std::uint64_t fingerprint = grid_fingerprint(cells);
-    std::size_t precommitted = 0;
-    if (resume_state_ != nullptr &&
-        section < resume_state_->sweeps.size()) {
-      // The redo pass: seed the dispatch core with the journal's winners;
-      // only the losers reach a worker.  A journal written by a different
-      // sweep (fingerprint or cell-count mismatch) is refused with exit 2
-      // before anything evaluates.
-      recov::ResumePlan plan;
-      try {
-        plan = recov::plan_resume(resume_state_->sweeps[section],
-                                  cells.size(), fingerprint);
-      } catch (const wire::Error& e) {
-        std::fprintf(stderr, "resume: %s\n", e.what());
-        std::exit(2);
-      }
-      precommitted = plan.committed_cells();
-      std::vector<CellOutcome> seeded(cells.size());
-      for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (plan.committed[i] != 0) {
-          seeded[i].result = std::move(plan.results[i]);
-        }
-      }
-      executor_->set_precommitted(std::move(plan.committed),
-                                  std::move(seeded));
-      std::fprintf(stderr,
-                   "journal: sweep %zu: %zu/%zu cells already committed, "
-                   "evaluating %zu\n",
-                   section, precommitted, cells.size(),
-                   cells.size() - precommitted);
-    }
-    char digest[96];
-    std::snprintf(digest, sizeof(digest),
-                  "samples=%zu nmax=%zu seed=%llu streams=%zu",
-                  opts_.samples, opts_.nmax,
-                  static_cast<unsigned long long>(opts_.seed),
-                  opts_.streams);
     try {
       journal_->sweep_begin(section, fingerprint, cells.size(), digest);
     } catch (const wire::Error& e) {
@@ -792,38 +703,41 @@ std::optional<std::vector<ResultSet>> SweepRunner::run_impl(
             journal->cell_committed(section, index, outcome.result);
           }
         });
-    const auto t0 = std::chrono::steady_clock::now();
-    outcomes = evaluate(cells, cell_fn, plan_fn);
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<CellOutcome> outcomes = evaluate(cells, cell_fn, plan_fn);
+  if (journaled) {
     const long long wall_ms =
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - t0)
             .count();
     recov::SweepEndStats stats;
-    stats.committed_cells = cells.size();
-    stats.evaluated_cells = cells.size() - precommitted;
+    stats.evaluated_cells = cells.size() - skipped;
+    stats.committed_cells =
+        opts_.shard_mode ? stats.evaluated_cells : cells.size();
     stats.wall_ms = static_cast<std::uint64_t>(wall_ms);
     stats.cells_per_sec =
         1000.0 * static_cast<double>(stats.evaluated_cells) /
         static_cast<double>(std::max<long long>(wall_ms, 1));
-    try {
-      journal_->sweep_end(section, stats);
-    } catch (const wire::Error& e) {
-      std::fprintf(stderr, "journal: %s\n", e.what());
-      std::exit(1);
+    if (journal_ != nullptr) {
+      try {
+        journal_->sweep_end(section, stats);
+      } catch (const wire::Error& e) {
+        std::fprintf(stderr, "journal: %s\n", e.what());
+        std::exit(1);
+      }
+      std::fprintf(stderr,
+                   "journal: sweep %zu done: %llu/%llu cell(s) evaluated in "
+                   "%llu ms (%.1f cells/s)\n",
+                   section,
+                   static_cast<unsigned long long>(stats.evaluated_cells),
+                   static_cast<unsigned long long>(stats.committed_cells),
+                   static_cast<unsigned long long>(stats.wall_ms),
+                   stats.cells_per_sec);
+    } else {
+      stream_sweep(section, fingerprint, digest, outcomes, stats);
     }
-    std::fprintf(stderr,
-                 "journal: sweep %zu done: %llu/%llu cell(s) evaluated in "
-                 "%llu ms (%.1f cells/s)\n",
-                 section,
-                 static_cast<unsigned long long>(stats.evaluated_cells),
-                 static_cast<unsigned long long>(stats.committed_cells),
-                 static_cast<unsigned long long>(stats.wall_ms),
-                 stats.cells_per_sec);
-  } else {
-    outcomes = evaluate(cells, cell_fn, plan_fn);
   }
-  std::vector<ResultSet> results;
-  results.reserve(outcomes.size());
   bool failed = false;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     if (!outcomes[i].ok()) {
@@ -835,10 +749,50 @@ std::optional<std::vector<ResultSet>> SweepRunner::run_impl(
   if (failed) {
     std::exit(1);
   }
+  if (opts_.shard_mode) {
+    return std::nullopt;
+  }
+  std::vector<ResultSet> results;
+  results.reserve(outcomes.size());
   for (CellOutcome& outcome : outcomes) {
     results.push_back(std::move(outcome.result));
   }
   return results;
+}
+
+void SweepRunner::stream_sweep(std::size_t section, std::uint64_t fingerprint,
+                               const std::string& digest,
+                               const std::vector<CellOutcome>& outcomes,
+                               const recov::SweepEndStats& stats) {
+  // --shard-serve: the sweep's journal records go to the one --merge peer
+  // the moment the sweep ends, so the merge folds them in while later
+  // sweeps are still computing.  The peer is accepted on the first sweep.
+  if (shard_conn_ == nullptr) {
+    try {
+      shard_conn_ =
+          std::make_unique<net::FrameConn>(shard_listener_->accept_client());
+    } catch (const net::Error& e) {
+      std::fprintf(stderr, "shard: %s\n", e.what());
+      std::exit(1);
+    }
+  }
+  const auto send = [&](const wire::Frame& record) {
+    if (!shard_conn_->send(record.type, record.payload)) {
+      std::fprintf(stderr,
+                   "shard: the --merge peer hung up before taking sweep "
+                   "section %zu\n",
+                   section);
+      std::exit(1);
+    }
+  };
+  send(recov::sweep_begin_record(section, fingerprint, outcomes.size(),
+                                 digest));
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    if (opts_.shard.owns(i) && outcomes[i].ok()) {
+      send(recov::cell_committed_record(section, i, outcomes[i].result));
+    }
+  }
+  send(recov::sweep_end_record(section, stats));
 }
 
 std::string fmt_ci(double value, double half_width, int precision) {

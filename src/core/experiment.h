@@ -39,8 +39,8 @@
 //                  sweep began.  Mutually exclusive with --connect; output
 //                  is byte-identical to the equivalent --connect list
 //   --fleet-workers=N
-//                  with --fleet: cap the grant at N members (default: the
-//                  registry's fair share)
+//                  with --fleet: cap the grant at N members, at most
+//                  4294967295 (default: the registry's fair share)
 //   --auth-key-file=PATH
 //                  pre-shared key for authenticated fleets: the Hello
 //                  handshake to every daemon (and the registry) carries an
@@ -60,22 +60,21 @@
 //                  10000; raise it when stolen-from stragglers need longer
 //                  than that to flush a batch between sweeps)
 //   --shard=i/k    evaluate only shard i of a k-way split of every sweep
-//                  and write the results as a wire partial file instead of
-//                  printing tables
-//   --shard-out=F  where --shard writes the partial (default
+//                  and journal the owned cells (recov/journal.h) instead
+//                  of printing tables
+//   --shard-out=F  where --shard writes its journal (default
 //                  shard-<i>-of-<k>.rbxw)
 //   --shard-serve=PORT
 //                  with --shard: instead of a file, listen on PORT and
-//                  stream each sweep's ShardPartial frame to the one
-//                  --merge peer that connects (0 = ephemeral, printed on
-//                  stderr)
+//                  stream each sweep's journal records to the one --merge
+//                  peer that connects (0 = ephemeral, printed on stderr)
 //   --merge=SRC1,SRC2,...
-//                  print the tables from k partial sources instead of
-//                  evaluating; a source is a partial file path or a
-//                  HOST:PORT of a --shard-serve run, and socket sources
-//                  are merged as the shards stream in.  Byte-identical to
-//                  an unsharded run; partials from a different grid
-//                  (fingerprint mismatch) are refused loudly
+//                  print the tables from journals instead of evaluating; a
+//                  source is a journal file (any --shard or --journal
+//                  output) or a HOST:PORT of a --shard-serve run, merged
+//                  as it streams in.  Byte-identical to an unsharded run;
+//                  a foreign grid (fingerprint mismatch) or a cell no
+//                  source committed is refused loudly
 //   --journal=FILE start a fresh crash-durable sweep journal at FILE
 //                  (recov/journal.h): every committed cell is logged the
 //                  moment its outcome is final, so a killed run can be
@@ -123,6 +122,7 @@ class FrameConn;  // net/frame.h
 namespace recov {
 class JournalWriter;      // recov/journal.h; kept out of every bench TU
 struct JournalAnalysis;
+struct SweepEndStats;
 }
 
 // Strict non-negative integer parse shared by the bench flags and
@@ -149,8 +149,8 @@ struct ExperimentOptions {
   std::size_t handshake_timeout_ms = 10000;  // --connect: Hello deadline
   bool shard_mode = false;   // --shard given (covers the 0/1 degenerate)
   ShardSpec shard;           // {0, 1} = unsharded
-  std::string shard_out;     // partial file path; set for file-mode shards
-  bool shard_serve = false;  // stream partials to a --merge peer instead
+  std::string shard_out;     // journal path; set for file-mode shards
+  bool shard_serve = false;  // stream records to a --merge peer instead
   std::uint16_t shard_serve_port = 0;
   std::vector<std::string> merge_inputs;  // non-empty = merge mode; each a
                                           // file path or HOST:PORT source
@@ -170,17 +170,18 @@ struct ExperimentOptions {
 //               default; forked workers with --workers; remote daemons
 //               with --connect; any mix of the three at once) and hand
 //               the results back;
-//   --shard=i/k evaluate only the owned cells of each sweep, append one
-//               ShardPartial section per run() call to the partial file
-//               (or stream it to the --merge peer with --shard-serve),
-//               and return std::nullopt - the bench skips its printing
-//               and exits after its last sweep;
-//   --merge     evaluate nothing; take the next ShardPartial section from
-//               every input source - a file, or a socket streaming shards
-//               as they finish - and return the merged full result vector.
+//   --shard=i/k evaluate and journal only the owned cells of each sweep
+//               (the other shards' cells are pre-committed), to the
+//               --shard-out file or the --shard-serve peer, and return
+//               std::nullopt - the bench skips its printing and exits
+//               after its last sweep;
+//   --merge     evaluate nothing; resume the sweep from every input
+//               journal - a file, or a socket streaming shards as they
+//               finish - and return the full result vector, which must
+//               have no cell missing.
 //
-// Benches call run() once per grid, in a fixed order, so section s of every
-// partial source corresponds to the bench's s-th sweep.  A failed cell (a
+// Benches call run() once per grid, in a fixed order, so sweep s of every
+// journal corresponds to the bench's s-th sweep.  A failed cell (a
 // throwing cell_fn or a crashed worker) prints the per-cell errors and
 // exits 1 - a bench table with silently missing rows would be worse.
 //
@@ -192,7 +193,7 @@ struct ExperimentOptions {
 //
 //   SweepRunner runner(opts);
 //   const auto results = runner.run(cells, plan_fn);
-//   if (!results) return 0;            // --shard: partial written
+//   if (!results) return 0;            // --shard: journal written
 //   ... print tables from *results ...
 class SweepRunner {
  public:
@@ -220,7 +221,7 @@ class SweepRunner {
   std::uint16_t shard_serve_port() const;
 
  private:
-  struct MergeSource;  // a partial file, or a socket streaming partials
+  struct MergeSource;  // a journal file, or a socket streaming records
 
   std::optional<std::vector<ResultSet>> run_impl(
       const std::vector<Scenario>& cells, const CellFn& cell_fn,
@@ -228,10 +229,14 @@ class SweepRunner {
   std::vector<CellOutcome> evaluate(const std::vector<Scenario>& cells,
                                     const CellFn& cell_fn,
                                     const PlanFn* plan_fn) const;
+  // --shard-serve: sends a finished sweep's journal records to the peer.
+  void stream_sweep(std::size_t section, std::uint64_t fingerprint,
+                    const std::string& digest,
+                    const std::vector<CellOutcome>& outcomes,
+                    const recov::SweepEndStats& stats);
 
   ExperimentOptions opts_;
   std::size_t sweep_index_ = 0;
-  std::vector<std::byte> partial_bytes_;           // shard-to-file mode
   std::unique_ptr<net::Listener> shard_listener_;  // --shard-serve
   std::unique_ptr<net::FrameConn> shard_conn_;     // the one merge peer
   std::vector<std::unique_ptr<MergeSource>> merge_sources_;
@@ -239,8 +244,8 @@ class SweepRunner {
   // lane's worker connections) persist across sweeps.  Null in merge mode.
   std::unique_ptr<HybridExecutor> executor_;
   bool remote_lanes_ = false;  // a remote lane exists: plans required
-  // Crash durability (--journal / --resume): the writer appends a record
-  // per committed cell; the recovered analysis seeds resumed sweeps.
+  // Crash durability (--journal / --resume / --shard-out): the writer
+  // appends a record per committed cell; the analysis seeds resumes.
   std::unique_ptr<recov::JournalWriter> journal_;
   std::unique_ptr<recov::JournalAnalysis> resume_state_;
 };

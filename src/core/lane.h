@@ -40,8 +40,9 @@
 namespace rbx {
 
 // --- cluster control frames ----------------------------------------------
-// (the executor data frames kFrameCellBatch/kFrameResultBatch/
-// kFrameShardPartial are 1..3, in core/executor.h)
+// (the executor data frames kFrameCellBatch/kFrameResultBatch are 1..2,
+// in core/executor.h; journal records, which a --shard-serve run streams,
+// are 32..34, in recov/journal.h)
 
 inline constexpr std::uint16_t kFrameHello = 16;
 inline constexpr std::uint16_t kFrameHelloAck = 17;

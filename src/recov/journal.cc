@@ -59,13 +59,35 @@ std::vector<std::byte> seal_record(std::uint16_t type,
   return record;
 }
 
-bool SweepState::has_cell(std::size_t index) const {
-  for (const auto& [cell, result] : committed) {
-    if (cell == index) {
-      return true;
-    }
-  }
-  return false;
+wire::Frame sweep_begin_record(std::uint64_t sweep, std::uint64_t fingerprint,
+                               std::uint64_t total_cells,
+                               const std::string& options) {
+  wire::Writer w;
+  w.u64(sweep);
+  w.u64(fingerprint);
+  w.u64(total_cells);
+  w.str(options);
+  return {kRecordSweepBegin, w.take()};
+}
+
+wire::Frame cell_committed_record(std::uint64_t sweep, std::uint64_t cell,
+                                  const ResultSet& result) {
+  wire::Writer w;
+  w.u64(sweep);
+  w.u64(cell);
+  result.encode(w);
+  return {kRecordCellCommitted, w.take()};
+}
+
+wire::Frame sweep_end_record(std::uint64_t sweep,
+                             const SweepEndStats& stats) {
+  wire::Writer w;
+  w.u64(sweep);
+  w.u64(stats.committed_cells);
+  w.u64(stats.evaluated_cells);
+  w.u64(stats.wall_ms);
+  w.f64(stats.cells_per_sec);
+  return {kRecordSweepEnd, w.take()};
 }
 
 std::size_t JournalAnalysis::committed_cells() const {
@@ -131,86 +153,93 @@ JournalAnalysis analyze_journal_bytes(const std::byte* data,
   analysis.valid_bytes = scan.valid_bytes;
   analysis.dropped_bytes = size - scan.valid_bytes;
   analysis.torn_tail = scan.torn_tail;
-  // One committed-mask per sweep for O(1) duplicate detection (a resumed
-  // run that crashed may have re-committed cells an earlier run logged).
-  std::vector<std::vector<std::uint8_t>> seen;
   for (const wire::Frame& frame : scan.records) {
-    // Each record is CRC-authentic; semantic violations from here on are
-    // real corruption (or a foreign file), not tail damage - throw.
-    wire::Reader r(frame.payload);
-    if (frame.type == kRecordSweepBegin) {
-      const std::uint64_t sweep = r.u64();
-      const std::uint64_t fingerprint = r.u64();
-      const std::uint64_t total_cells = r.u64();
-      const std::string options = r.str();
-      r.expect_done();
-      if (sweep > analysis.sweeps.size()) {
-        throw wire::Error("journal: sweep " + std::to_string(sweep) +
-                          " begins before sweep " +
-                          std::to_string(analysis.sweeps.size()) +
-                          " (records out of order)");
-      }
-      if (sweep == analysis.sweeps.size()) {
-        SweepState state;
-        state.fingerprint = fingerprint;
-        state.total_cells = total_cells;
-        state.options = options;
-        analysis.sweeps.push_back(std::move(state));
-        seen.emplace_back(total_cells, 0);
-      } else {
-        // A resumed run re-begins the sweep; the repeat must describe the
-        // same grid or the journal mixes two different runs.
-        const SweepState& state = analysis.sweeps[sweep];
-        if (state.fingerprint != fingerprint ||
-            state.total_cells != total_cells) {
-          throw wire::Error(
-              "journal: sweep " + std::to_string(sweep) +
-              " re-begins with a different grid (fingerprint/total "
-              "mismatch - two different runs wrote this journal?)");
-        }
-      }
-    } else if (frame.type == kRecordCellCommitted) {
-      const std::uint64_t sweep = r.u64();
-      const std::uint64_t cell = r.u64();
-      ResultSet result = ResultSet::decode(r);
-      r.expect_done();
-      if (sweep >= analysis.sweeps.size()) {
-        throw wire::Error("journal: cell commit for sweep " +
-                          std::to_string(sweep) + " before its begin");
-      }
-      SweepState& state = analysis.sweeps[sweep];
-      if (cell >= state.total_cells) {
-        throw wire::Error("journal: sweep " + std::to_string(sweep) +
-                          " commits cell " + std::to_string(cell) +
-                          " beyond its " +
-                          std::to_string(state.total_cells) + " cells");
-      }
-      if (seen[sweep][cell] == 0) {
-        seen[sweep][cell] = 1;
-        state.committed.emplace_back(static_cast<std::size_t>(cell),
-                                     std::move(result));
-      }
-    } else if (frame.type == kRecordSweepEnd) {
-      const std::uint64_t sweep = r.u64();
-      SweepEndStats stats;
-      stats.committed_cells = r.u64();
-      stats.evaluated_cells = r.u64();
-      stats.wall_ms = r.u64();
-      stats.cells_per_sec = r.f64();
-      r.expect_done();
-      if (sweep >= analysis.sweeps.size()) {
-        throw wire::Error("journal: sweep end for sweep " +
-                          std::to_string(sweep) + " before its begin");
-      }
-      analysis.sweeps[sweep].ended = true;
-      analysis.sweeps[sweep].end_stats = stats;
-    } else {
-      throw wire::Error("journal: unexpected record type " +
-                        std::to_string(frame.type) +
-                        " (not a sweep journal?)");
-    }
+    analyze_record(analysis, frame);
   }
   return analysis;
+}
+
+void analyze_record(JournalAnalysis& analysis, const wire::Frame& frame) {
+  // Each record is authentic (CRC-checked, or delivered intact by TCP);
+  // semantic violations from here on are real corruption (or a foreign
+  // file), not tail damage - throw.
+  wire::Reader r(frame.payload);
+  if (frame.type == kRecordSweepBegin) {
+    const std::uint64_t sweep = r.u64();
+    const std::uint64_t fingerprint = r.u64();
+    const std::uint64_t total_cells = r.u64();
+    const std::string options = r.str();
+    r.expect_done();
+    if (sweep > analysis.sweeps.size()) {
+      throw wire::Error("journal: sweep " + std::to_string(sweep) +
+                        " begins before sweep " +
+                        std::to_string(analysis.sweeps.size()) +
+                        " (records out of order)");
+    }
+    if (sweep == analysis.sweeps.size()) {
+      SweepState state;
+      state.fingerprint = fingerprint;
+      state.total_cells = total_cells;
+      state.options = options;
+      analysis.sweeps.push_back(std::move(state));
+    } else {
+      // A resumed run re-begins the sweep; the repeat must describe the
+      // same grid or the journal mixes two different runs.
+      const SweepState& state = analysis.sweeps[sweep];
+      if (state.fingerprint != fingerprint ||
+          state.total_cells != total_cells) {
+        throw wire::Error(
+            "journal: sweep " + std::to_string(sweep) +
+            " re-begins with a different grid (fingerprint/total "
+            "mismatch - two different runs wrote this journal?)");
+      }
+    }
+  } else if (frame.type == kRecordCellCommitted) {
+    const std::uint64_t sweep = r.u64();
+    const std::uint64_t cell = r.u64();
+    ResultSet result = ResultSet::decode(r);
+    r.expect_done();
+    if (sweep >= analysis.sweeps.size()) {
+      throw wire::Error("journal: cell commit for sweep " +
+                        std::to_string(sweep) + " before its begin");
+    }
+    SweepState& state = analysis.sweeps[sweep];
+    if (cell >= state.total_cells) {
+      throw wire::Error("journal: sweep " + std::to_string(sweep) +
+                        " commits cell " + std::to_string(cell) +
+                        " beyond its " + std::to_string(state.total_cells) +
+                        " cells");
+    }
+    // A resumed run that crashed may re-commit cells an earlier run
+    // logged; the first copy wins.  The mask grows with the cells that
+    // arrive, not with the declared total a corrupt record could inflate.
+    if (cell >= state.seen.size()) {
+      state.seen.resize(static_cast<std::size_t>(cell) + 1, 0);
+    }
+    if (state.seen[cell] == 0) {
+      state.seen[cell] = 1;
+      state.committed.emplace_back(static_cast<std::size_t>(cell),
+                                   std::move(result));
+    }
+  } else if (frame.type == kRecordSweepEnd) {
+    const std::uint64_t sweep = r.u64();
+    SweepEndStats stats;
+    stats.committed_cells = r.u64();
+    stats.evaluated_cells = r.u64();
+    stats.wall_ms = r.u64();
+    stats.cells_per_sec = r.f64();
+    r.expect_done();
+    if (sweep >= analysis.sweeps.size()) {
+      throw wire::Error("journal: sweep end for sweep " +
+                        std::to_string(sweep) + " before its begin");
+    }
+    analysis.sweeps[sweep].ended = true;
+    analysis.sweeps[sweep].end_stats = stats;
+  } else {
+    throw wire::Error("journal: unexpected record type " +
+                      std::to_string(frame.type) +
+                      " (not a sweep journal?)");
+  }
 }
 
 JournalAnalysis analyze_journal(const std::string& path) {
@@ -260,13 +289,12 @@ void JournalWriter::sync() {
   unsynced_ = 0;
 }
 
-void JournalWriter::append(std::uint16_t type,
-                           const std::vector<std::byte>& payload,
-                           bool force_sync) {
-  const std::vector<std::byte> record = seal_record(type, payload);
+void JournalWriter::append(const wire::Frame& record, bool force_sync) {
+  const std::vector<std::byte> sealed =
+      seal_record(record.type, record.payload);
   // O_APPEND makes each write land at the current end even if another
   // process appends too; write_all retries EINTR and short writes.
-  if (!io::write_all(fd_, record)) {
+  if (!io::write_all(fd_, sealed)) {
     throw wire::Error("journal: append to '" + path_ + "' failed");
   }
   ++unsynced_;
@@ -279,32 +307,18 @@ void JournalWriter::sweep_begin(std::uint64_t sweep,
                                 std::uint64_t fingerprint,
                                 std::uint64_t total_cells,
                                 const std::string& options) {
-  wire::Writer w;
-  w.u64(sweep);
-  w.u64(fingerprint);
-  w.u64(total_cells);
-  w.str(options);
-  append(kRecordSweepBegin, w.data(), /*force_sync=*/true);
+  append(sweep_begin_record(sweep, fingerprint, total_cells, options),
+         /*force_sync=*/true);
 }
 
 void JournalWriter::cell_committed(std::uint64_t sweep, std::uint64_t cell,
                                    const ResultSet& result) {
-  wire::Writer w;
-  w.u64(sweep);
-  w.u64(cell);
-  result.encode(w);
-  append(kRecordCellCommitted, w.data(), /*force_sync=*/false);
+  append(cell_committed_record(sweep, cell, result), /*force_sync=*/false);
 }
 
 void JournalWriter::sweep_end(std::uint64_t sweep,
                               const SweepEndStats& stats) {
-  wire::Writer w;
-  w.u64(sweep);
-  w.u64(stats.committed_cells);
-  w.u64(stats.evaluated_cells);
-  w.u64(stats.wall_ms);
-  w.f64(stats.cells_per_sec);
-  append(kRecordSweepEnd, w.data(), /*force_sync=*/true);
+  append(sweep_end_record(sweep, stats), /*force_sync=*/true);
 }
 
 }  // namespace recov

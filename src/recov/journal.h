@@ -43,6 +43,11 @@
 // Writes batch their fsyncs: cell records are flushed in groups of
 // `sync_every` (a crash loses at most that many commits - they are simply
 // re-evaluated on resume), while sweep boundaries always sync.
+//
+// A `--shard=i/k` run journals the cells it owns, so `--merge` is a resume
+// over several journals (recov/resume.h).  `--shard-serve` streams the
+// same records as bare frames (TCP delivers them intact: no CRC), which
+// the merge folds in one at a time with analyze_record().
 #pragma once
 
 #include <cstddef>
@@ -57,9 +62,10 @@
 namespace rbx {
 namespace recov {
 
-// Journal record frame types (disjoint from the executor data frames 1..3
-// and the cluster control frames 16..18, so a journal fed to a frame
-// stream - or vice versa - is rejected by type, not misread).
+// Journal record frame types (disjoint from the executor data frames 1..2,
+// the cluster control frames 16..20 and the fleet frames 48..53, so a
+// journal fed to a frame stream - or vice versa - is rejected by type, not
+// misread).
 inline constexpr std::uint16_t kRecordSweepBegin = 32;
 inline constexpr std::uint16_t kRecordCellCommitted = 33;
 inline constexpr std::uint16_t kRecordSweepEnd = 34;
@@ -97,6 +103,15 @@ struct SweepEndStats {
   double cells_per_sec = 0.0;         // evaluated_cells over wall_ms
 };
 
+// The three sweep records as bare frames (type + payload): JournalWriter
+// seals and appends them, a --shard-serve run sends them as they are.
+wire::Frame sweep_begin_record(std::uint64_t sweep, std::uint64_t fingerprint,
+                               std::uint64_t total_cells,
+                               const std::string& options);
+wire::Frame cell_committed_record(std::uint64_t sweep, std::uint64_t cell,
+                                  const ResultSet& result);
+wire::Frame sweep_end_record(std::uint64_t sweep, const SweepEndStats& stats);
+
 // What the analysis pass recovered about one sweep.
 struct SweepState {
   std::uint64_t fingerprint = 0;   // grid_fingerprint of the sweep
@@ -108,8 +123,12 @@ struct SweepState {
   // crash/resume overlap keep the first occurrence (per-cell seeds make
   // them bitwise identical anyway).
   std::vector<std::pair<std::size_t, ResultSet>> committed;
+  // seen[i] != 0 <=> cell i is in `committed` (the O(1) duplicate check).
+  std::vector<std::uint8_t> seen;
 
-  bool has_cell(std::size_t index) const;
+  bool has_cell(std::size_t index) const {
+    return index < seen.size() && seen[index] != 0;
+  }
 };
 
 // The analysis pass over a whole journal.
@@ -132,6 +151,10 @@ struct JournalAnalysis {
 // damage but evidence the file is not this sweep's journal.
 JournalAnalysis analyze_journal_bytes(const std::byte* data,
                                       std::size_t size);
+
+// The analysis pass's per-record step: folds one CRC-authentic record into
+// `analysis`.  Throws wire::Error for semantic corruption, as above.
+void analyze_record(JournalAnalysis& analysis, const wire::Frame& record);
 
 // Reads and analyzes a journal file.  Throws wire::Error if the file
 // cannot be read at all; tail damage is tolerated as above.
@@ -174,8 +197,7 @@ class JournalWriter {
   void sync();
 
  private:
-  void append(std::uint16_t type, const std::vector<std::byte>& payload,
-              bool force_sync);
+  void append(const wire::Frame& record, bool force_sync);
 
   std::string path_;
   Options options_;

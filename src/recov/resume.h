@@ -1,8 +1,9 @@
-// Resume planning: turn a recovered journal into "done" and "lost" cells.
+// Resume planning: turn recovered journals into "done" and "lost" cells.
 //
-// Given the SweepState the analysis pass (recov/journal.h) recovered for
-// one sweep, plan_resume() partitions the grid: committed cells carry
-// their journaled ResultSets (the winners), everything else is a loser to
+// Given the SweepStates the analysis pass (recov/journal.h) recovered for
+// one sweep - one journal's for --resume, one per source for --merge -
+// plan_resume() partitions the grid: committed cells carry their
+// journaled ResultSets (the winners), everything else is a loser to
 // re-evaluate.  The plan feeds HybridExecutor's pre-committed seam
 // (core/dispatch.h): the scheduler seeds its committed mask and result
 // vector from the plan and enqueues only the losers, so a resumed run
@@ -10,6 +11,9 @@
 // bitwise identical to an uninterrupted run - per-cell seeds make a
 // journaled result and a fresh evaluation of the same cell the same
 // bytes, so where a cell's result came from cannot show in a table.
+//
+// A --merge evaluates nothing, so its plan must have no losers;
+// take_results() names the first cell no source committed.
 //
 // Safety: a journal only ever resumes the grid that wrote it.  The
 // caller passes the *current* invocation's cell count and fingerprint;
@@ -40,14 +44,24 @@ struct ResumePlan {
     return committed.size() - lost.size();
   }
   bool complete() const { return lost.empty(); }
+
+  // Moves out the full result vector of a complete plan (a --merge's
+  // tables); throws wire::Error naming the first lost cell otherwise.
+  std::vector<ResultSet> take_results();
 };
 
+// Throws wire::Error unless `state` was recovered from a sweep of this
+// grid: `total_cells` cells with grid fingerprint `fingerprint`.
+void check_grid(const SweepState& state, std::size_t total_cells,
+                std::uint64_t fingerprint);
+
 // Builds the done/lost partition for a sweep of `total_cells` cells with
-// grid fingerprint `fingerprint` from the recovered state.  Throws
-// wire::Error when the journal belongs to a different grid (fingerprint
-// or cell-count mismatch).
-ResumePlan plan_resume(const SweepState& state, std::size_t total_cells,
-                       std::uint64_t fingerprint);
+// grid fingerprint `fingerprint` from the union of the recovered states.
+// A cell committed by several states keeps the first copy, in `states`
+// order (per-cell seeds make the copies bitwise identical anyway).
+// Throws as check_grid() when any state belongs to a different grid.
+ResumePlan plan_resume(const std::vector<const SweepState*>& states,
+                       std::size_t total_cells, std::uint64_t fingerprint);
 
 }  // namespace recov
 }  // namespace rbx

@@ -1,19 +1,24 @@
 // The execution determinism contract: the same expanded grid produces
 // bitwise-identical results on 1 thread, N threads, M forked worker
-// processes, and a sharded-then-merged split - plus the failure semantics
-// (throwing cell_fn -> per-cell error; crashed worker -> per-cell error,
-// not a hung sweep).
+// processes, and a split whose shard journals are merged - plus the
+// failure semantics (throwing cell_fn -> per-cell error; crashed worker ->
+// per-cell error, not a hung sweep).
 #include "core/executor.h"
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "core/backend.h"
 #include "core/sweep.h"
 #include "lane_sets.h"
+#include "recov/journal.h"
+#include "recov/resume.h"
 
 namespace rbx {
 namespace {
@@ -44,6 +49,29 @@ std::vector<ResultSet> results_of(const std::vector<CellOutcome>& outcomes) {
   return out;
 }
 
+// Journals one shard's cells the way a --shard run does - a sweep begin
+// carrying the full grid's fingerprint and cell total, each owned cell at
+// its full-grid index, a sweep end - and reads the file back through the
+// analysis pass.
+recov::JournalAnalysis shard_journal(
+    const std::string& name, const std::vector<Scenario>& cells,
+    const std::vector<std::pair<std::size_t, ResultSet>>& owned) {
+  const std::string path = ::testing::TempDir() + name;
+  {
+    recov::JournalWriter::Options options;
+    options.truncate = true;
+    recov::JournalWriter journal(path, options);
+    journal.sweep_begin(0, grid_fingerprint(cells), cells.size(), name);
+    for (const auto& [index, result] : owned) {
+      journal.cell_committed(0, index, result);
+    }
+    journal.sweep_end(0, recov::SweepEndStats{});
+  }
+  recov::JournalAnalysis analysis = recov::analyze_journal(path);
+  std::remove(path.c_str());
+  return analysis;
+}
+
 TEST(ExecutorDeterminism, AllExecutionModesAreBitwiseIdentical) {
   const std::vector<Scenario> cells = mc_grid(17);
   const CellFn fn = backend_fn();
@@ -52,8 +80,9 @@ TEST(ExecutorDeterminism, AllExecutionModesAreBitwiseIdentical) {
   const auto threaded = results_of(lane_sets::threads(8, cells, fn));
   const auto forked = results_of(lane_sets::forks(4, 1, cells, fn));
 
-  // Sharded: evaluate each half independently, then merge.
-  std::vector<ShardPartial> partials;
+  // Sharded: evaluate and journal each half independently, then merge the
+  // two journals.
+  std::vector<recov::JournalAnalysis> journals;
   for (std::size_t shard_index = 0; shard_index < 2; ++shard_index) {
     const ShardSpec spec{shard_index, 2};
     const std::vector<std::size_t> owned =
@@ -66,16 +95,19 @@ TEST(ExecutorDeterminism, AllExecutionModesAreBitwiseIdentical) {
         2, owned_cells, [&](const Scenario& cell, std::size_t local) {
           return fn(cell, owned[local]);
         });
-    ShardPartial partial;
-    partial.shard = spec;
-    partial.total_cells = cells.size();
+    std::vector<std::pair<std::size_t, ResultSet>> committed;
     for (std::size_t k = 0; k < owned.size(); ++k) {
       EXPECT_TRUE(outcomes[k].ok());
-      partial.results.emplace_back(owned[k], outcomes[k].result);
+      committed.emplace_back(owned[k], outcomes[k].result);
     }
-    partials.push_back(std::move(partial));
+    journals.push_back(shard_journal(
+        "executor_shard" + std::to_string(shard_index) + ".rbxw", cells,
+        committed));
   }
-  const std::vector<ResultSet> merged = merge_shard_partials(partials);
+  const std::vector<ResultSet> merged =
+      recov::plan_resume({&journals[0].sweeps[0], &journals[1].sweeps[0]},
+                         cells.size(), grid_fingerprint(cells))
+          .take_results();
 
   ASSERT_EQ(serial.size(), cells.size());
   ASSERT_EQ(threaded.size(), cells.size());
@@ -88,36 +120,32 @@ TEST(ExecutorDeterminism, AllExecutionModesAreBitwiseIdentical) {
   }
 }
 
-TEST(ExecutorDeterminism, ShardPartialSurvivesTheWire) {
-  // The partial actually exchanged between hosts goes through encode() ->
-  // frame -> decode(); pin that path, not just the in-memory merge.
+TEST(ExecutorDeterminism, ShardJournalSurvivesTheWire) {
+  // What a shard actually hands to a merge goes through JournalWriter ->
+  // file -> analysis pass; pin that path, in any source order, not just
+  // the in-memory union.
   const std::vector<Scenario> cells = mc_grid(23);
   const CellFn fn = backend_fn();
   const auto reference = results_of(lane_sets::threads(1, cells, fn));
 
-  std::vector<ShardPartial> partials;
+  std::vector<recov::JournalAnalysis> journals;
   for (std::size_t shard_index = 0; shard_index < 3; ++shard_index) {
-    const ShardSpec spec{shard_index, 3};
-    ShardPartial partial;
-    partial.shard = spec;
-    partial.total_cells = cells.size();
-    for (std::size_t index : shard_cell_indices(cells.size(), spec)) {
-      partial.results.emplace_back(index, reference[index]);
+    std::vector<std::pair<std::size_t, ResultSet>> owned;
+    for (std::size_t index :
+         shard_cell_indices(cells.size(), ShardSpec{shard_index, 3})) {
+      owned.emplace_back(index, reference[index]);
     }
-    wire::Writer w;
-    partial.encode(w);
-    const std::vector<std::byte> frame =
-        wire::seal_frame(kFrameShardPartial, w.data());
-    wire::Frame parsed;
-    std::size_t consumed = 0;
-    ASSERT_TRUE(
-        wire::parse_frame(frame.data(), frame.size(), &parsed, &consumed));
-    ASSERT_EQ(parsed.type, kFrameShardPartial);
-    wire::Reader r(parsed.payload);
-    partials.push_back(ShardPartial::decode(r));
-    r.expect_done();
+    journals.push_back(shard_journal(
+        "executor_wire" + std::to_string(shard_index) + ".rbxw", cells,
+        owned));
+    ASSERT_EQ(journals.back().sweeps.size(), 1u);
+    EXPECT_TRUE(journals.back().sweeps[0].ended);
   }
-  const std::vector<ResultSet> merged = merge_shard_partials(partials);
+  const std::vector<ResultSet> merged =
+      recov::plan_resume({&journals[2].sweeps[0], &journals[0].sweeps[0],
+                          &journals[1].sweeps[0]},
+                         cells.size(), grid_fingerprint(cells))
+          .take_results();
   ASSERT_EQ(merged.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(merged[i], reference[i]) << "cell " << i;
@@ -300,115 +328,142 @@ TEST(ShardSpecTest, PartitionIsDisjointAndComplete) {
 }
 
 TEST(ShardMergeTest, RejectsInconsistentPartials) {
+  // A merge is plan_resume over the shards' recovered sweeps, and it must
+  // end complete.
   ResultSet r("test", "cell");
   r.set("x", 1.0);
-  const auto make_partial = [&](std::size_t index, std::size_t count,
-                                std::size_t total) {
-    ShardPartial p;
-    p.shard = ShardSpec{index, count};
-    p.total_cells = total;
-    for (std::size_t cell : shard_cell_indices(total, p.shard)) {
-      p.results.emplace_back(cell, r);
+  const std::uint64_t fingerprint = 0x5eedu;
+  // Shard `index` of `count` over `total` cells, as the analysis pass
+  // recovers it from that shard's journal.
+  const auto shard_state = [&](std::size_t index, std::size_t count,
+                               std::size_t total) {
+    recov::SweepState s;
+    s.fingerprint = fingerprint;
+    s.total_cells = total;
+    for (std::size_t cell :
+         shard_cell_indices(total, ShardSpec{index, count})) {
+      s.committed.emplace_back(cell, r);
     }
-    return p;
+    return s;
   };
+  const auto merge = [&](const std::vector<const recov::SweepState*>& states) {
+    return recov::plan_resume(states, 4, fingerprint).take_results();
+  };
+  const recov::SweepState s0 = shard_state(0, 2, 4);
+  const recov::SweepState s1 = shard_state(1, 2, 4);
 
   // Missing shard.
-  EXPECT_THROW(merge_shard_partials({make_partial(0, 2, 4)}), wire::Error);
-  // Duplicate shard.
-  EXPECT_THROW(
-      merge_shard_partials({make_partial(0, 2, 4), make_partial(0, 2, 4)}),
-      wire::Error);
+  EXPECT_THROW(merge({&s0}), wire::Error);
+  // Repeated source: shard 1's cells stay uncovered.
+  EXPECT_THROW(merge({&s0, &s0}), wire::Error);
   // Disagreeing grid sizes.
-  EXPECT_THROW(
-      merge_shard_partials({make_partial(0, 2, 4), make_partial(1, 2, 6)}),
-      wire::Error);
-  // Missing cell inside an otherwise consistent split.
-  ShardPartial incomplete = make_partial(1, 2, 4);
-  incomplete.results.pop_back();
-  EXPECT_THROW(merge_shard_partials({make_partial(0, 2, 4), incomplete}),
-               wire::Error);
-  // Partials from differently-parameterized runs (e.g. mismatched
+  const recov::SweepState s1_of_6 = shard_state(1, 2, 6);
+  EXPECT_THROW(merge({&s0, &s1_of_6}), wire::Error);
+  // Missing cell inside an otherwise consistent split: the error names it.
+  recov::SweepState incomplete = s1;
+  incomplete.committed.pop_back();
+  try {
+    merge({&s0, &incomplete});
+    FAIL() << "expected wire::Error";
+  } catch (const wire::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("cell 3"), std::string::npos)
+        << e.what();
+  }
+  // Journals from differently-parameterized runs (e.g. mismatched
   // --samples or --seed) carry different grid fingerprints and must not
   // merge into silently wrong tables.
-  ShardPartial foreign = make_partial(1, 2, 4);
+  recov::SweepState foreign = s1;
   foreign.fingerprint = 0xdeadbeefULL;
   try {
-    merge_shard_partials({make_partial(0, 2, 4), foreign});
+    merge({&s0, &foreign});
     FAIL() << "expected wire::Error";
   } catch (const wire::Error& e) {
     EXPECT_NE(std::string(e.what()).find("fingerprint"), std::string::npos);
   }
-  // The happy path for contrast.
-  const auto merged =
-      merge_shard_partials({make_partial(0, 2, 4), make_partial(1, 2, 4)});
+  // The happy path for contrast, in either source order.
+  const auto merged = merge({&s0, &s1});
   EXPECT_EQ(merged.size(), 4u);
+  EXPECT_EQ(merge({&s1, &s0}), merged);
 }
 
-TEST(PartialMergerTest, StreamsPartialsInAnyOrderAndRejectsStragglers) {
+TEST(StreamedMergeTest, StreamsShardsInAnyOrderAndRejectsStragglers) {
+  // Three --shard-serve streams of one 7-cell sweep whose records arrive
+  // interleaved, folded in record by record through the analysis pass's
+  // per-record step; the union then merges in any source order.
   ResultSet r("test", "cell");
   r.set("x", 2.0);
-  const auto make_partial = [&](std::size_t index, std::size_t count,
-                                std::size_t total) {
-    ShardPartial p;
-    p.shard = ShardSpec{index, count};
-    p.total_cells = total;
-    p.fingerprint = 99;
-    for (std::size_t cell : shard_cell_indices(total, p.shard)) {
-      p.results.emplace_back(cell, r);
+  const auto records_of = [&](std::size_t index, std::size_t count,
+                              std::uint64_t fingerprint) {
+    std::vector<wire::Frame> records;
+    records.push_back(recov::sweep_begin_record(0, fingerprint, 7, "shard"));
+    for (std::size_t cell : shard_cell_indices(7, ShardSpec{index, count})) {
+      records.push_back(recov::cell_committed_record(0, cell, r));
     }
-    return p;
+    records.push_back(recov::sweep_end_record(0, recov::SweepEndStats{}));
+    return records;
+  };
+  const auto stream = [](const std::vector<wire::Frame>& records) {
+    recov::JournalAnalysis analysis;
+    for (const wire::Frame& record : records) {
+      recov::analyze_record(analysis, record);
+    }
+    return analysis;
   };
 
-  PartialMerger merger(7, 3, 99);
-  EXPECT_FALSE(merger.complete());
   // Arrival order is whatever the network gives us, not shard order.
-  merger.apply(make_partial(2, 3, 7));
-  EXPECT_EQ(merger.applied_shards(), 1u);
-  EXPECT_THROW(merger.take(), wire::Error);  // cells still missing
-  merger.apply(make_partial(0, 3, 7));
-  // A duplicate or foreign partial is rejected without corrupting the
-  // merge already accumulated.
-  EXPECT_THROW(merger.apply(make_partial(0, 3, 7)), wire::Error);
-  EXPECT_THROW(merger.apply(make_partial(1, 2, 7)), wire::Error);
-  ShardPartial wrong_fingerprint = make_partial(1, 3, 7);
-  wrong_fingerprint.fingerprint = 100;
-  EXPECT_THROW(merger.apply(wrong_fingerprint), wire::Error);
-  EXPECT_FALSE(merger.complete());
-  merger.apply(make_partial(1, 3, 7));
-  EXPECT_TRUE(merger.complete());
-  const std::vector<ResultSet> merged = merger.take();
-  ASSERT_EQ(merged.size(), 7u);
-  for (const ResultSet& cell : merged) {
-    EXPECT_EQ(cell, r);
+  const std::vector<std::vector<wire::Frame>> pending = {
+      records_of(0, 3, 99), records_of(1, 3, 99), records_of(2, 3, 99)};
+  std::vector<recov::JournalAnalysis> streams(3);
+  for (std::size_t step = 0; step < pending[0].size(); ++step) {
+    for (std::size_t k = 3; k-- > 0;) {
+      if (step < pending[k].size()) {
+        recov::analyze_record(streams[k], pending[k][step]);
+      }
+    }
   }
-}
+  for (const recov::JournalAnalysis& analysis : streams) {
+    ASSERT_EQ(analysis.sweeps.size(), 1u);
+    EXPECT_TRUE(analysis.sweeps[0].ended);
+  }
+  const recov::SweepState& s0 = streams[0].sweeps[0];
+  const recov::SweepState& s1 = streams[1].sweeps[0];
+  const recov::SweepState& s2 = streams[2].sweeps[0];
+  const auto merge = [](const std::vector<const recov::SweepState*>& states) {
+    return recov::plan_resume(states, 7, 99).take_results();
+  };
 
-TEST(ShardPartialTest, CorruptTotalCellsRejectedAtDecode) {
-  // A flipped byte in the total_cells field must fail in decode with a
-  // wire::Error, not as a gigantic allocation inside the merge.
-  ResultSet r0("test", "cell");
-  r0.set("x", 1.0);
-  ShardPartial partial;
-  partial.shard = ShardSpec{0, 2};
-  partial.total_cells = 4;
-  partial.results.emplace_back(0, r0);
-  partial.results.emplace_back(2, r0);
-  wire::Writer w;
-  partial.encode(w);
-  std::vector<std::byte> bytes = w.data();
-  // total_cells is the third u64 of the payload (after index and count).
-  bytes[16] = static_cast<std::byte>(0xff);
-  bytes[22] = static_cast<std::byte>(0x7f);
-  wire::Reader reader(bytes);
-  try {
-    ShardPartial::decode(reader);
-    FAIL() << "expected wire::Error";
-  } catch (const wire::Error& e) {
-    EXPECT_NE(std::string(e.what()).find("do not match the declared grid"),
-              std::string::npos)
-        << e.what();
+  // Cells stay missing until every shard has arrived; a repeated source or
+  // a shard of a different split leaves some uncovered.
+  EXPECT_THROW(merge({&s2}), wire::Error);
+  EXPECT_THROW(merge({&s2, &s0}), wire::Error);
+  EXPECT_THROW(merge({&s2, &s0, &s0}), wire::Error);
+  const recov::JournalAnalysis other_split = stream(records_of(1, 2, 99));
+  EXPECT_THROW(merge({&s2, &s0, &other_split.sweeps[0]}), wire::Error);
+  // A straggler from another grid is refused, and so is a stream whose
+  // first record is not its sweep's begin.
+  const recov::JournalAnalysis foreign = stream(records_of(1, 3, 100));
+  EXPECT_THROW(merge({&s2, &s0, &foreign.sweeps[0]}), wire::Error);
+  recov::JournalAnalysis headless;
+  EXPECT_THROW(recov::analyze_record(headless, pending[1][1]), wire::Error);
+
+  // Every source order merges to the same full vector.
+  const std::vector<const recov::SweepState*> orders[] = {
+      {&s0, &s1, &s2}, {&s0, &s2, &s1}, {&s1, &s0, &s2},
+      {&s1, &s2, &s0}, {&s2, &s0, &s1}, {&s2, &s1, &s0}};
+  for (const auto& order : orders) {
+    const std::vector<ResultSet> merged = merge(order);
+    ASSERT_EQ(merged.size(), 7u);
+    for (const ResultSet& cell : merged) {
+      EXPECT_EQ(cell, r);
+    }
   }
+  // A cell two sources commit keeps the first copy, as --resume does.
+  ResultSet other("test", "cell");
+  other.set("x", 3.0);
+  recov::SweepState late = s1;
+  late.committed.emplace_back(0, other);
+  EXPECT_EQ(merge({&s0, &late, &s2})[0], r);
+  EXPECT_EQ(merge({&late, &s0, &s2})[0], other);
 }
 
 TEST(GridFingerprintTest, SensitiveToEveryExperimentKnob) {

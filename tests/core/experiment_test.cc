@@ -1,5 +1,7 @@
 #include "core/experiment.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace rbx {
@@ -355,6 +357,26 @@ TEST(ExperimentOptionsDeathTest, RejectsShardServeCombinedWithShardOut) {
   char* argv[] = {prog, a1, a2, a3};
   EXPECT_EXIT(ExperimentOptions::parse(4, argv, 100, 2),
               ::testing::ExitedWithCode(2), "cannot combine");
+}
+
+TEST(ExperimentOptionsDeathTest, RejectsFleetWorkersBeyondU32) {
+  // The grant cap travels as a u32: 2^32 would wrap to "no cap" and
+  // 2^32 + 1 to a cap of one member, so both refuse; 2^32 - 1 is the
+  // largest cap.
+  char prog[] = "bench";
+  char fleet[] = "--fleet=127.0.0.1:4700";
+  char largest[] = "--fleet-workers=4294967295";
+  char* ok_argv[] = {prog, fleet, largest};
+  EXPECT_EQ(ExperimentOptions::parse(3, ok_argv, 100, 2).fleet_workers,
+            4294967295u);
+  for (const char* value :
+       {"--fleet-workers=4294967296", "--fleet-workers=4294967297"}) {
+    std::string arg = value;
+    char* argv[] = {prog, fleet, arg.data()};
+    EXPECT_EXIT(ExperimentOptions::parse(3, argv, 100, 2),
+                ::testing::ExitedWithCode(2), "at most 4294967295")
+        << value;
+  }
 }
 
 TEST(ExperimentOptions, MergeAcceptsSocketSourcesAlongsideFiles) {

@@ -4,8 +4,8 @@
 // and a daemon killed mid-sweep that comes back is re-admitted -
 // reconnected, re-handshaken against the same grid fingerprint - without
 // changing a byte of output.
-// Plus the merge-from-sockets path: --merge consuming a ShardPartial
-// stream from a socket next to a partial file.
+// Plus the merge-from-sockets path: --merge consuming a shard's journal
+// records streamed over a socket next to a shard journal file.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -27,6 +27,7 @@
 #include "net/frame.h"
 #include "net/socket.h"
 #include "net/worker.h"
+#include "recov/journal.h"
 
 namespace rbx {
 namespace {
@@ -232,37 +233,43 @@ TEST(HybridExecutorTest, RestartedDaemonIsReadmittedMidSweep) {
 }
 
 TEST(MergeFromSocketsTest, SocketAndFileSourcesMergeBitwise) {
-  // One shard arrives as a partial file, the other streams in over TCP
-  // from a (simulated) --shard-serve run; the merged tables match the
-  // unsharded reference bit for bit.
+  // One shard arrives as a journal file, the other streams its journal
+  // records in over TCP from a (simulated) --shard-serve run; the merged
+  // tables match the unsharded reference bit for bit.
   const std::vector<Scenario> cells = mc_grid(113);
   const PlanFn plan = mc_plan();
   const CellFn fn = local_fn_for(plan);
   const std::vector<ResultSet> reference = direct_reference(cells, fn);
   const std::uint64_t fingerprint = grid_fingerprint(cells);
 
-  const auto make_partial = [&](std::size_t index) {
-    ShardPartial partial;
-    partial.shard = ShardSpec{index, 2};
-    partial.total_cells = cells.size();
-    partial.fingerprint = fingerprint;
-    for (std::size_t cell : shard_cell_indices(cells.size(), partial.shard)) {
-      partial.results.emplace_back(cell, reference[cell]);
-    }
-    wire::Writer w;
-    partial.encode(w);
-    return wire::seal_frame(kFrameShardPartial, w.data());
-  };
-
-  // Shard 1 as a file.
+  // Shard 1 as a journal file, written the way a --shard run writes it.
   const std::string path = "hybrid_merge_shard1.rbxw";
-  wire::write_file(path, make_partial(1));
+  {
+    recov::JournalWriter::Options options;
+    options.truncate = true;
+    recov::JournalWriter journal(path, options);
+    journal.sweep_begin(0, fingerprint, cells.size(), "shard 1/2");
+    for (std::size_t cell : shard_cell_indices(cells.size(), {1, 2})) {
+      journal.cell_committed(0, cell, reference[cell]);
+    }
+    journal.sweep_end(0, recov::SweepEndStats{});
+  }
 
-  // Shard 0 served over a socket, exactly one frame.
+  // Shard 0 served over a socket: the sweep's begin, cell and end records
+  // as bare frames.
   net::Listener listener(0);
   std::thread server([&]() {
     net::FrameConn conn(listener.accept_client());
-    conn.send_frame(make_partial(0));
+    std::vector<wire::Frame> records;
+    records.push_back(
+        recov::sweep_begin_record(0, fingerprint, cells.size(), "shard 0/2"));
+    for (std::size_t cell : shard_cell_indices(cells.size(), {0, 2})) {
+      records.push_back(recov::cell_committed_record(0, cell, reference[cell]));
+    }
+    records.push_back(recov::sweep_end_record(0, recov::SweepEndStats{}));
+    for (const wire::Frame& record : records) {
+      conn.send(record.type, record.payload);
+    }
     wire::Frame sink;
     conn.recv(&sink);  // hold the stream open until the merger hangs up
   });

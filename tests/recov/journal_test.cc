@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "core/result.h"
+#include "recov/resume.h"
 #include "support/wire.h"
 
 namespace rbx {
@@ -185,6 +186,27 @@ TEST(JournalScanTest, CellBeyondSweepTotalIsSemanticCorruption) {
   bytes.insert(bytes.end(), c.begin(), c.end());
   EXPECT_THROW(analyze_journal_bytes(bytes.data(), bytes.size()),
                wire::Error);
+}
+
+TEST(JournalScanTest, InflatedSweepTotalSizesNothing) {
+  // A CRC-valid begin whose cell total is corrupt must not size anything
+  // by it (a --merge source is outside input): the analysis keeps the
+  // declared total, which the merge or resume then refuses as another
+  // grid, and its duplicate mask grows only with the cells that arrive.
+  std::vector<std::byte> bytes;
+  const auto b = seal_record(kRecordSweepBegin,
+                             begin_payload(0, 0xfeedu, 1ull << 60, "x"));
+  const auto c = seal_record(kRecordCellCommitted,
+                             cell_payload(0, 2, make_result(2)));
+  bytes.insert(bytes.end(), b.begin(), b.end());
+  bytes.insert(bytes.end(), c.begin(), c.end());
+  const JournalAnalysis a = analyze_journal_bytes(bytes.data(), bytes.size());
+  ASSERT_EQ(a.sweeps.size(), 1u);
+  EXPECT_EQ(a.sweeps[0].total_cells, 1ull << 60);
+  EXPECT_TRUE(a.sweeps[0].has_cell(2));
+  EXPECT_FALSE(a.sweeps[0].has_cell(1));
+  EXPECT_FALSE(a.sweeps[0].has_cell(3));
+  EXPECT_THROW(check_grid(a.sweeps[0], 3, 0xfeedu), wire::Error);
 }
 
 TEST(JournalScanTest, ContradictoryReBeginIsSemanticCorruption) {

@@ -2,23 +2,31 @@
 // recovered state partitions the grid into winners and losers, the
 // scheduler evaluates only the losers, and the merged output is bitwise
 // identical to an uninterrupted run; a journal from a different grid
-// refuses instead of mixing experiments.
+// refuses instead of mixing experiments.  A --merge is the same plan over
+// several journals that must end complete: any --journal file is a merge
+// source, and a shard journal cut at any byte either merges bitwise or
+// names a missing cell.
 #include "recov/resume.h"
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/backend.h"
 #include "core/dispatch.h"
 #include "core/executor.h"
+#include "core/experiment.h"
 #include "core/lane.h"
 #include "core/result.h"
 #include "core/scenario.h"
+#include "core/sweep.h"
 #include "recov/journal.h"
 #include "support/wire.h"
 
@@ -46,7 +54,7 @@ SweepState make_state(std::uint64_t fingerprint, std::uint64_t total,
 
 TEST(ResumePlanTest, PartitionsDoneAndLostCells) {
   const SweepState state = make_state(0xfeedu, 5, {0, 3});
-  const ResumePlan plan = plan_resume(state, 5, 0xfeedu);
+  const ResumePlan plan = plan_resume({&state}, 5, 0xfeedu);
   ASSERT_EQ(plan.committed.size(), 5u);
   ASSERT_EQ(plan.results.size(), 5u);
   EXPECT_EQ(plan.committed_cells(), 2u);
@@ -61,7 +69,7 @@ TEST(ResumePlanTest, PartitionsDoneAndLostCells) {
 
 TEST(ResumePlanTest, CompleteSweepHasNoLosers) {
   const SweepState state = make_state(0xfeedu, 3, {0, 1, 2});
-  const ResumePlan plan = plan_resume(state, 3, 0xfeedu);
+  const ResumePlan plan = plan_resume({&state}, 3, 0xfeedu);
   EXPECT_TRUE(plan.complete());
   EXPECT_EQ(plan.committed_cells(), 3u);
 }
@@ -72,7 +80,7 @@ TEST(ResumePlanTest, FingerprintMismatchRefuses) {
   // journal's own options digest so the user can see what it was.
   const SweepState state = make_state(0xfeedu, 5, {0});
   try {
-    plan_resume(state, 5, 0xbad0u);
+    plan_resume({&state}, 5, 0xbad0u);
     FAIL() << "fingerprint mismatch did not throw";
   } catch (const wire::Error& e) {
     EXPECT_NE(std::string(e.what()).find("samples=100 nmax=4 seed=1"),
@@ -83,7 +91,7 @@ TEST(ResumePlanTest, FingerprintMismatchRefuses) {
 
 TEST(ResumePlanTest, CellCountMismatchRefuses) {
   const SweepState state = make_state(0xfeedu, 5, {0});
-  EXPECT_THROW(plan_resume(state, 7, 0xfeedu), wire::Error);
+  EXPECT_THROW(plan_resume({&state}, 7, 0xfeedu), wire::Error);
 }
 
 // --- the dispatch seam ---------------------------------------------------
@@ -193,6 +201,115 @@ TEST(DispatchResumeTest, MismatchedPrecommitSizesThrow) {
   hybrid.set_precommitted(std::vector<std::uint8_t>(3, 0),
                           std::vector<CellOutcome>(3));
   EXPECT_THROW(hybrid.run(cells, indexed_fn(nullptr)), std::runtime_error);
+}
+
+// --- merge: a resume over several journals ------------------------------
+
+// The two grids of a small two-sweep "bench": 6 Monte-Carlo cells, then 2.
+std::vector<std::vector<Scenario>> bench_grids() {
+  const auto apply_n = [](Scenario& s, double n) {
+    s.params(ProcessSetParams::symmetric(static_cast<std::size_t>(n), 1.0,
+                                         1.0));
+  };
+  const Scenario base = Scenario::symmetric(2, 1.0, 1.0).samples(200);
+  return {SweepGrid(base)
+              .axis({2, 3, 4}, apply_n)
+              .schemes({SchemeKind::kAsynchronous,
+                        SchemeKind::kSynchronized})
+              .expand(11),
+          SweepGrid(base).axis({2, 3}, apply_n).expand(12)};
+}
+
+// Runs the bench's sweeps through one SweepRunner under `flags`, the way a
+// bench binary does; a --shard run returns empty result vectors.
+std::vector<std::vector<ResultSet>> run_bench(
+    const std::vector<std::string>& flags) {
+  std::vector<std::string> args = {"bench"};
+  args.insert(args.end(), flags.begin(), flags.end());
+  std::vector<char*> argv;
+  for (std::string& arg : args) {
+    argv.push_back(arg.data());
+  }
+  SweepRunner runner(ExperimentOptions::parse(static_cast<int>(argv.size()),
+                                              argv.data(), 200, 4));
+  std::vector<std::vector<ResultSet>> out;
+  for (const std::vector<Scenario>& cells : bench_grids()) {
+    auto results = runner.run(cells, monte_carlo_backend());
+    out.push_back(results ? std::move(*results) : std::vector<ResultSet>());
+  }
+  return out;
+}
+
+TEST(MergeTest, UnshardedJournalIsAOneSourceMerge) {
+  // A shard file is the journal of the cells it owns, so the --journal
+  // file of an unsharded run - one source owning every cell - is itself a
+  // valid --merge input, and it reproduces the reference bytes.
+  const std::string path = ::testing::TempDir() + "merge_unsharded.rbxj";
+  const auto reference = run_bench({"--threads=1"});
+  EXPECT_EQ(run_bench({"--threads=2", "--journal=" + path}), reference);
+  EXPECT_EQ(run_bench({"--merge=" + path}), reference);
+  std::remove(path.c_str());
+}
+
+TEST(MergeTest, ShardJournalCutAtEveryByteMergesOrNamesAMissingCell) {
+  const std::string dir = ::testing::TempDir();
+  const std::string shard0 = dir + "merge_cut_shard0.rbxw";
+  const std::string shard1 = dir + "merge_cut_shard1.rbxw";
+  const std::string cut_path = dir + "merge_cut_shard1_cut.rbxw";
+  const auto reference = run_bench({"--threads=1"});
+  run_bench({"--threads=2", "--shard=0/2", "--shard-out=" + shard0});
+  run_bench({"--threads=2", "--shard=1/2", "--shard-out=" + shard1});
+  EXPECT_EQ(run_bench({"--merge=" + shard0 + "," + shard1}), reference);
+
+  // Cut shard 1's journal at every byte boundary and merge it with shard
+  // 0's: a cut either merges bitwise, when every cell survived it, or
+  // fails naming a cell no source committed - never garbage, never a
+  // crash.  Only cuts inside the final sweep-end record keep every cell.
+  const std::vector<std::vector<Scenario>> grids = bench_grids();
+  const JournalAnalysis first = analyze_journal(shard0);
+  ASSERT_EQ(first.sweeps.size(), grids.size());
+  const std::vector<std::byte> bytes = read_file_bytes(shard1, "shard 1");
+  std::size_t merged_cuts = 0;
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    const JournalAnalysis second = analyze_journal_bytes(bytes.data(), cut);
+    bool merged = true;
+    for (std::size_t s = 0; s < grids.size(); ++s) {
+      std::vector<const SweepState*> states = {&first.sweeps[s]};
+      if (s < second.sweeps.size()) {
+        states.push_back(&second.sweeps[s]);
+      }
+      ResumePlan plan =
+          plan_resume(states, grids[s].size(), grid_fingerprint(grids[s]));
+      try {
+        EXPECT_EQ(plan.take_results(), reference[s])
+            << "cut " << cut << " sweep " << s;
+      } catch (const wire::Error& e) {
+        merged = false;
+        const std::string missing =
+            "cell " + std::to_string(plan.lost.front()) + " is missing";
+        EXPECT_NE(std::string(e.what()).find(missing), std::string::npos)
+            << "cut " << cut << ": " << e.what();
+      }
+    }
+    merged_cuts += merged ? 1 : 0;
+  }
+  const std::size_t end_record =
+      seal_record(kRecordSweepEnd, sweep_end_record(1, {}).payload).size();
+  EXPECT_EQ(merged_cuts, end_record + 1);
+
+  // The bench refuses the same way: cut the last cell record one byte
+  // short and the merge exits 1 naming the lost cell (shard 1's only cell
+  // of sweep 1).
+  wire::write_file(cut_path, std::vector<std::byte>(
+                                 bytes.begin(),
+                                 bytes.end() - static_cast<std::ptrdiff_t>(
+                                                   end_record + 1)));
+  EXPECT_EXIT(run_bench({"--merge=" + shard0 + "," + cut_path}),
+              ::testing::ExitedWithCode(1),
+              "merge: sweep 1: cell 1 is missing from every source");
+  std::remove(shard0.c_str());
+  std::remove(shard1.c_str());
+  std::remove(cut_path.c_str());
 }
 
 }  // namespace

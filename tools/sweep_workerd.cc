@@ -65,6 +65,10 @@
 //                    during the Hello handshake (a keyless or wrong-keyed
 //                    coordinator is refused with an error frame), and the
 //                    registry join authenticates with the same key
+//   --eval-threads=N intra-cell thread budget per session: the
+//                    Monte-Carlo stream pool of a --streams=K cell
+//                    (core/eval_context.h; default 1); it bounds resources
+//                    only and never changes a result
 //   --quiet          no connection notes on stderr
 #include <cstdio>
 #include <cstring>
