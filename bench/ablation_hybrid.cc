@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       },
       EvalPlan{{EvalStep{"hybrid", ""}}});
   if (!sweep.results) {
-    return 0;  // --shard: partial written
+    return 0;  // --shard: journal written
   }
   const std::vector<ResultSet>& results = *sweep.results;
 

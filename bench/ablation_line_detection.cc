@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       },
       EvalPlan{{EvalStep{"line-exact", ""}}});
   if (!sweep.results) {
-    return 0;  // --shard: partial written
+    return 0;  // --shard: journal written
   }
   const std::vector<ResultSet>& results = *sweep.results;
 

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
       },
       EvalPlan{{EvalStep{"monte-carlo", ""}}});
   if (!sweep.results) {
-    return 0;  // --shard: partial written
+    return 0;  // --shard: journal written
   }
   const std::vector<ResultSet>& results = *sweep.results;
 

@@ -4,7 +4,7 @@
 // movement: parse the strict flags, print the banner, expand a grid of
 // seeded Scenario cells, hand them to SweepRunner with a serializable
 // EvalPlan, and - when this process is a --shard worker that just wrote
-// its partial - exit 0 without rendering.  This header is that movement
+// its journal - exit 0 without rendering.  This header is that movement
 // in two sizes:
 //
 //  * run_sweep() - the one-grid case (most benches):
@@ -14,7 +14,7 @@
 //            argc, argv, {"FIG6", "Figure 6: ...", /*samples=*/200000,
 //                         /*nmax=*/0},
 //            build_cells, plan_fn_or_plan);
-//        if (!sweep.results) return 0;   // --shard: partial written
+//        if (!sweep.results) return 0;   // --shard: journal written
 //        render(sweep);
 //      }
 //
@@ -22,13 +22,13 @@
 //    output assembles several tables from separate grids).  One Bench
 //    holds one SweepRunner across every run() call, so the composed lanes
 //    (and a --connect lane's worker sessions) persist across sweeps and
-//    section s of every --shard partial lines up with the bench's s-th
+//    section s of every --shard journal lines up with the bench's s-th
 //    grid:
 //
 //      bench::Bench bench(argc, argv, {"SEC3-CL", "...", 30000, 10});
 //      const auto a = bench.run(cells_a, plan_a);
 //      const auto b = bench.run(cells_b, analytic_backend());
-//      if (!a) return 0;                 // --shard: partials written
+//      if (!a) return 0;                 // --shard: journal written
 //      ... print tables from *a and *b ...
 //
 // lambda_for_rho() is the shared n/rho grid arithmetic of the fig5 and
@@ -106,7 +106,7 @@ class Bench {
 
   // One sweep: nullopt when this process is a --shard worker (the bench
   // skips its printing; every remaining run() call must still happen so
-  // all partial sections get written).
+  // all journal sections get written).
   std::optional<std::vector<ResultSet>> run(
       const std::vector<Scenario>& cells, const PlanFn& plan_fn) {
     return runner_.run(cells, plan_fn);
@@ -127,7 +127,7 @@ class Bench {
 };
 
 // What a one-grid bench gets back: the parsed options, the expanded grid
-// and - unless this process was a shard that wrote its partial and should
+// and - unless this process was a shard that wrote its journal and should
 // exit 0 - one ResultSet per cell, index-aligned with the grid.
 struct SweepOutcome {
   ExperimentOptions opts;

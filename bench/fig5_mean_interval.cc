@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
         return plan;
       });
   if (!sweep.results) {
-    return 0;  // --shard: partial written
+    return 0;  // --shard: journal written
   }
   const std::vector<Scenario>& cells = sweep.cells;
   const std::vector<ResultSet>& results = *sweep.results;

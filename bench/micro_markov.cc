@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   const MarkovKernelBackend backend;
   const auto results = bench.run(cells, backend);
   if (!results) {
-    return 0;  // --shard: partial written
+    return 0;  // --shard: journal written
   }
 
   TextTable table({"n", "build full", "build lumped", "transient unif",

@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
   SweepRunner runner(opts, /*default_threads=*/1);
   const auto sweep = runner.run(cells, backend);
   if (!sweep) {
-    return 0;  // --shard: partial written
+    return 0;  // --shard: journal written
   }
 
   TextTable table({"n", "mbox push/pop", "mbox filter", "serialize",

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   SweepRunner runner(opts, /*default_threads=*/1);
   const auto sweep = runner.run(cells, runtime_backend());
   if (!sweep) {
-    return 0;  // --shard: partial written
+    return 0;  // --shard: journal written
   }
   const std::vector<ResultSet>& results = *sweep;
 

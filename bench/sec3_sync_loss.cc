@@ -12,7 +12,7 @@
 // per-row seeds match the original loop so --threads/--workers/--shard
 // only change the wall-clock, not the printed values.  Two grids, one
 // bench::Bench: its SweepRunner persists across both sweeps so --shard
-// writes one partial section per grid.
+// journals one sweep section per grid.
 #include <cstddef>
 #include <cstdio>
 #include <vector>
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   }
   const auto het_sweep = bench.run(het_cells, analytic_backend());
   if (!homo_sweep) {
-    return 0;  // --shard: partials for both sweeps written
+    return 0;  // --shard: journals for both sweeps written
   }
   const std::vector<ResultSet>& results = *homo_sweep;
   const std::vector<ResultSet>& het_results = *het_sweep;

@@ -13,8 +13,8 @@
 // The Monte-Carlo cases run concurrently with the seeds of the original
 // sequential loop; printed values are invariant under --threads,
 // --workers and --shard splits.  Two grids, one bench::Bench: its
-// SweepRunner persists across both sweeps so --shard writes one partial
-// section per grid.
+// SweepRunner persists across both sweeps so --shard journals one
+// sweep section per grid.
 #include <algorithm>
 #include <cstdio>
 #include <iterator>
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
         return plan;
       });
   if (!overhead_sweep) {
-    return 0;  // --shard: partials for both sweeps written
+    return 0;  // --shard: journals for both sweeps written
   }
   const std::vector<ResultSet>& overhead_results = *overhead_sweep;
   const std::vector<ResultSet>& mc_results = *mc_sweep;

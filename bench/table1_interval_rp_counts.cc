@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
       },
       EvalPlan{{EvalStep{"analytic", ""}, EvalStep{"monte-carlo", "mc_"}}});
   if (!sweep.results) {
-    return 0;  // --shard: partial written
+    return 0;  // --shard: journal written
   }
   const std::vector<ResultSet>& results = *sweep.results;
 

@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
     return out;
   });
   if (!sweep) {
-    return 0;  // --shard: partial written
+    return 0;  // --shard: journal written
   }
   const std::vector<ResultSet>& rows = *sweep;
   TextTable table({"rho", "E[X] analytic", "E[X] monte-carlo"});

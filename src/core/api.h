@@ -141,7 +141,8 @@
 // Layered as follows (each layer usable on its own):
 //
 //   support/   deterministic RNG, statistics, tables, the wire format,
-//              EINTR-safe fd I/O
+//              EINTR-safe fd I/O, and support/flags - the table-driven
+//              strict flag parser of every bench and tool
 //   numerics/  dense/sparse linear algebra, ODE, quadrature, Poisson
 //   markov/    CTMC/DTMC engine, phase-type distributions
 //   model/     the paper's analytic models (Sections 2-4)

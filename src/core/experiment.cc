@@ -1,12 +1,9 @@
 #include "core/experiment.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -22,70 +19,37 @@ namespace rbx {
 
 namespace {
 
-[[noreturn]] void usage_error(const char* prog, const char* arg,
-                              const char* why) {
-  std::fprintf(stderr, "%s: bad argument '%s' (%s)\n", prog, arg, why);
-  std::fprintf(stderr,
-               "usage: %s [--samples=N] [--streams=K] [--nmax=N] [--seed=N]\n"
-               "          [--threads=N] [--workers=N]\n"
-               "          [--connect=HOST:PORT,... | --fleet=HOST:PORT\n"
-               "           [--fleet-workers=N]] [--auth-key-file=PATH]\n"
-               "          [--batch=N] [--steal]\n"
-               "          [--handshake-timeout-ms=N]\n"
-               "          [--shard=i/k [--shard-out=FILE | --shard-serve=PORT]]\n"
-               "          [--merge=SRC1,SRC2,...]  (SRC: file or HOST:PORT)\n"
-               "          [--journal=FILE | --resume=FILE] [--no-cache]\n"
-               "(--threads, --workers and --connect compose into one hybrid "
-               "sweep)\n",
-               prog);
-  std::exit(2);
-}
-
 // "--shard=i/k": both parts strict non-negative integers, k >= 1, i < k.
-bool parse_shard(const char* text, ShardSpec* out, const char** why) {
-  const char* slash = std::strchr(text, '/');
-  if (slash == nullptr) {
-    *why = "expected i/k (e.g. --shard=0/4)";
-    return false;
+std::string parse_shard(const std::string& text, ShardSpec* out) {
+  const std::size_t slash = text.find('/');
+  if (slash == std::string::npos) {
+    return "expected i/k (e.g. --shard=0/4)";
   }
-  const std::string index_text(text, static_cast<std::size_t>(slash - text));
   std::uint64_t index = 0;
   std::uint64_t count = 0;
-  if (index_text.empty() || !parse_strict_u64(index_text.c_str(), &index) ||
-      !parse_strict_u64(slash + 1, &count)) {
-    *why = "expected i/k with non-negative integers";
-    return false;
+  if (!parse_strict_u64(text.substr(0, slash).c_str(), &index) ||
+      !parse_strict_u64(text.c_str() + slash + 1, &count)) {
+    return "expected i/k with non-negative integers";
   }
   if (count == 0) {
-    *why = "shard count must be >= 1";
-    return false;
+    return "shard count must be >= 1";
   }
   if (index >= count) {
-    *why = "shard index must be < shard count";
-    return false;
+    return "shard index must be < shard count";
   }
   out->index = static_cast<std::size_t>(index);
   out->count = static_cast<std::size_t>(count);
-  return true;
+  return "";
+}
+
+// A HOST:PORT value; *out is written only when it parses.
+std::string parse_endpoint_into(const std::string& text, net::Endpoint* out) {
+  std::string why;
+  net::parse_endpoint(text, out, &why);
+  return why;
 }
 
 }  // namespace
-
-// strtoull itself skips leading whitespace and negates '-' values into
-// huge uint64s, so insist the text starts with a digit.
-bool parse_strict_u64(const char* text, std::uint64_t* out) {
-  if (!std::isdigit(static_cast<unsigned char>(text[0]))) {
-    return false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') {
-    return false;
-  }
-  *out = v;
-  return true;
-}
 
 ExperimentOptions ExperimentOptions::parse(int argc, char** argv,
                                            std::size_t default_samples,
@@ -93,272 +57,117 @@ ExperimentOptions ExperimentOptions::parse(int argc, char** argv,
   ExperimentOptions opts;
   opts.samples = default_samples;
   opts.nmax = default_nmax;
-  const char* prog = argc > 0 ? argv[0] : "bench";
-  bool shard_given = false;
-  bool shard_out_given = false;
-  bool batch_given = false;
-  bool handshake_timeout_given = false;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    std::uint64_t* target = nullptr;
-    std::uint64_t parsed = 0;
-    std::size_t* size_target = nullptr;
-    if (std::strncmp(arg, "--samples=", 10) == 0) {
-      value = arg + 10;
-      size_target = &opts.samples;
-    } else if (std::strncmp(arg, "--streams=", 10) == 0) {
-      value = arg + 10;
-      size_target = &opts.streams;
-    } else if (std::strncmp(arg, "--nmax=", 7) == 0) {
-      value = arg + 7;
-      size_target = &opts.nmax;
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      value = arg + 7;
-      target = &opts.seed;
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      value = arg + 10;
-      size_target = &opts.threads;
-      opts.threads_given = true;
-    } else if (std::strncmp(arg, "--workers=", 10) == 0) {
-      value = arg + 10;
-      size_target = &opts.workers;
-    } else if (std::strncmp(arg, "--batch=", 8) == 0) {
-      value = arg + 8;
-      size_target = &opts.batch;
-      batch_given = true;
-    } else if (std::strncmp(arg, "--connect=", 10) == 0) {
-      const char* list = arg + 10;
-      while (*list != '\0') {
-        const char* comma = std::strchr(list, ',');
-        const std::size_t len = comma != nullptr
-                                    ? static_cast<std::size_t>(comma - list)
-                                    : std::strlen(list);
-        if (len == 0) {
-          usage_error(prog, arg, "empty endpoint in list");
-        }
-        net::Endpoint endpoint;
-        std::string why;
-        if (!net::parse_endpoint(std::string(list, len), &endpoint, &why)) {
-          usage_error(prog, arg, why.c_str());
-        }
-        opts.connect.push_back(std::move(endpoint));
-        list += len;
-        if (*list == ',') {
-          ++list;
-          if (*list == '\0') {
-            usage_error(prog, arg, "empty endpoint in list");
-          }
-        }
-      }
-      if (opts.connect.empty()) {
-        usage_error(prog, arg, "expected a comma-separated host:port list");
-      }
-      continue;
-    } else if (std::strncmp(arg, "--fleet=", 8) == 0) {
-      std::string why;
-      if (!net::parse_endpoint(arg + 8, &opts.fleet, &why)) {
-        usage_error(prog, arg, why.c_str());
-      }
-      opts.fleet_given = true;
-      continue;
-    } else if (std::strncmp(arg, "--fleet-workers=", 16) == 0) {
-      std::uint64_t n = 0;
-      if (!parse_strict_u64(arg + 16, &n) || n == 0) {
-        usage_error(prog, arg, "expected a positive worker count");
-      }
+  constexpr std::uint64_t kAny = UINT64_MAX;
+  flags::Table table;
+  table.flags = {
+      {"--samples", "N", flags::count(&opts.samples)},
+      {"--streams", "K",
+       flags::count(&opts.streams, 1, kAny, "stream count must be >= 1")},
+      {"--nmax", "N", flags::count(&opts.nmax)},
+      {"--seed", "N", flags::count(&opts.seed)},
+      {"--threads", "N",
+       flags::count(&opts.threads, 1, kAny, "thread count must be >= 1")},
+      {"--workers", "N",
+       flags::count(&opts.workers, 1, kAny, "worker count must be >= 1")},
+      {"--connect", "HOST:PORT,...",
+       flags::list("empty endpoint in list",
+                   [&opts](const std::string& text) {
+                     net::Endpoint endpoint;
+                     std::string why = parse_endpoint_into(text, &endpoint);
+                     if (why.empty()) {
+                       opts.connect.push_back(std::move(endpoint));
+                     }
+                     return why;
+                   })},
+      {"--fleet", "HOST:PORT",
+       [&opts](const std::string& text) {
+         return parse_endpoint_into(text, &opts.fleet);
+       }},
       // The grant cap travels as a u32 (fleet::FleetLaneOptions); a
       // larger value would wrap into a different cap, or into "no cap".
-      if (n > 0xFFFFFFFFull) {
-        usage_error(prog, arg, "worker count must be at most 4294967295");
-      }
-      opts.fleet_workers = static_cast<std::size_t>(n);
-      continue;
-    } else if (std::strncmp(arg, "--auth-key-file=", 16) == 0) {
-      if (arg[16] == '\0') {
-        usage_error(prog, arg, "expected a key file path");
-      }
-      opts.auth_key_file = arg + 16;
-      continue;
-    } else if (std::strcmp(arg, "--steal") == 0) {
-      opts.steal = true;
-      continue;
-    } else if (std::strncmp(arg, "--handshake-timeout-ms=", 23) == 0) {
+      {"--fleet-workers", "N",
+       flags::count(&opts.fleet_workers, 1, 0xFFFFFFFFull,
+                    "expected a positive worker count (at most "
+                    "4294967295)")},
+      {"--auth-key-file", "PATH",
+       flags::text(&opts.auth_key_file, "expected a key file path")},
+      {"--batch", "N", flags::count(&opts.batch)},
+      {"--steal", "", flags::on(&opts.steal)},
       // Capped at INT_MAX: the value feeds poll()'s int timeout, and a
       // silently overflowed negative deadline would demote every worker.
-      std::uint64_t ms = 0;
-      if (!parse_strict_u64(arg + 23, &ms) || ms == 0 ||
-          ms > 2147483647ull) {
-        usage_error(prog, arg,
+      {"--handshake-timeout-ms", "N",
+       flags::count(&opts.handshake_timeout_ms, 1, 2147483647,
                     "expected a positive millisecond count (at most "
-                    "2147483647)");
-      }
-      opts.handshake_timeout_ms = static_cast<std::size_t>(ms);
-      handshake_timeout_given = true;
-      continue;
-    } else if (std::strncmp(arg, "--shard=", 8) == 0) {
-      const char* why = nullptr;
-      if (!parse_shard(arg + 8, &opts.shard, &why)) {
-        usage_error(prog, arg, why);
-      }
-      shard_given = true;
-      continue;
-    } else if (std::strncmp(arg, "--shard-out=", 12) == 0) {
-      if (arg[12] == '\0') {
-        usage_error(prog, arg, "expected a file path");
-      }
-      opts.shard_out = arg + 12;
-      shard_out_given = true;
-      continue;
-    } else if (std::strncmp(arg, "--shard-serve=", 14) == 0) {
-      std::uint64_t port = 0;
-      if (!parse_strict_u64(arg + 14, &port) || port > 65535) {
-        usage_error(prog, arg, "expected a port in 0..65535 (0 = ephemeral)");
-      }
-      opts.shard_serve = true;
-      opts.shard_serve_port = static_cast<std::uint16_t>(port);
-      continue;
-    } else if (std::strncmp(arg, "--journal=", 10) == 0) {
-      if (arg[10] == '\0') {
-        usage_error(prog, arg, "expected a file path");
-      }
-      opts.journal = arg + 10;
-      continue;
-    } else if (std::strncmp(arg, "--resume=", 9) == 0) {
-      if (arg[9] == '\0') {
-        usage_error(prog, arg, "expected a journal file path");
-      }
-      opts.resume = arg + 9;
-      continue;
-    } else if (std::strcmp(arg, "--no-cache") == 0) {
-      opts.no_cache = true;
-      continue;
-    } else if (std::strncmp(arg, "--merge=", 8) == 0) {
-      const char* list = arg + 8;
-      while (*list != '\0') {
-        const char* comma = std::strchr(list, ',');
-        const std::size_t len = comma != nullptr
-                                    ? static_cast<std::size_t>(comma - list)
-                                    : std::strlen(list);
-        if (len == 0) {
-          usage_error(prog, arg, "empty file name in list");
-        }
-        opts.merge_inputs.emplace_back(list, len);
-        list += len;
-        if (*list == ',') {
-          ++list;
-          if (*list == '\0') {
-            usage_error(prog, arg, "empty file name in list");
-          }
-        }
-      }
-      if (opts.merge_inputs.empty()) {
-        usage_error(prog, arg, "expected a comma-separated file list");
-      }
-      continue;
-    } else {
-      usage_error(prog, arg, "unknown flag");
-    }
-    if (!parse_strict_u64(value, &parsed)) {
-      usage_error(prog, arg, "expected a non-negative integer");
-    }
-    if (size_target == &opts.threads && parsed == 0) {
-      usage_error(prog, arg, "thread count must be >= 1");
-    }
-    if (size_target == &opts.streams && parsed == 0) {
-      usage_error(prog, arg, "stream count must be >= 1");
-    }
-    if (size_target == &opts.workers && parsed == 0) {
-      usage_error(prog, arg, "worker count must be >= 1");
-    }
-    if (target != nullptr) {
-      *target = parsed;
-    } else {
-      *size_target = static_cast<std::size_t>(parsed);
-    }
-  }
-  if (!opts.merge_inputs.empty() && shard_given) {
-    usage_error(prog, "--merge", "cannot combine --merge with --shard");
-  }
-  if (!opts.connect.empty() && !opts.merge_inputs.empty()) {
-    usage_error(prog, "--connect",
-                "--merge evaluates nothing, so --connect is meaningless");
-  }
-  if (opts.fleet_given && !opts.connect.empty()) {
-    usage_error(prog, "--fleet",
-                "--fleet resolves its daemons from the registry; naming "
-                "them with --connect too is contradictory - pick one");
-  }
-  if (opts.fleet_given && !opts.merge_inputs.empty()) {
-    usage_error(prog, "--fleet",
-                "--merge evaluates nothing, so --fleet is meaningless");
-  }
-  if (opts.fleet_workers != 0 && !opts.fleet_given) {
-    usage_error(prog, "--fleet-workers",
-                "--fleet-workers only applies to --fleet runs");
-  }
-  if (!opts.auth_key_file.empty() && opts.connect.empty() &&
-      !opts.fleet_given) {
-    usage_error(prog, "--auth-key-file",
-                "--auth-key-file only applies to --connect or --fleet "
-                "runs (only remote daemons authenticate)");
-  }
-  // --batch and --steal are properties of the shared dispatch core, legal
-  // under any worker lane (forked or remote) and any hybrid mix of them -
-  // but meaningless on a pure --threads run, where they would silently do
-  // nothing (threads take single cells and cannot usefully straggle).
-  const bool remote_lane = !opts.connect.empty() || opts.fleet_given;
-  if (batch_given && opts.workers == 0 && !remote_lane) {
-    usage_error(prog, "--batch",
-                "--batch only applies to runs with a --workers, --connect "
-                "or --fleet lane");
-  }
-  if (opts.steal && opts.workers == 0 && !remote_lane) {
-    usage_error(prog, "--steal",
-                "--steal only applies to runs with a --workers, --connect "
-                "or --fleet lane (a pure --threads run has no stragglers "
-                "worth stealing from)");
-  }
-  if (handshake_timeout_given && !remote_lane) {
-    usage_error(prog, "--handshake-timeout-ms",
-                "--handshake-timeout-ms only applies to --connect or "
-                "--fleet runs");
-  }
-  if (!opts.journal.empty() && !opts.resume.empty()) {
-    usage_error(prog, "--journal",
-                "--journal starts a fresh journal and --resume continues "
-                "one; pick one");
-  }
-  if ((!opts.journal.empty() || !opts.resume.empty()) &&
-      !opts.merge_inputs.empty()) {
-    usage_error(prog, "--merge",
-                "--merge evaluates nothing, so there is nothing to "
-                "journal or resume");
-  }
-  if ((!opts.journal.empty() || !opts.resume.empty()) && shard_given) {
-    usage_error(prog, "--shard",
-                "the sweep journal covers whole sweeps; journal the "
-                "unsharded run (or re-run the lost shard - partials are "
-                "cheap) instead of combining it with --shard");
-  }
-  if (opts.no_cache && !remote_lane) {
-    usage_error(prog, "--no-cache",
-                "--no-cache only applies to --connect or --fleet runs "
-                "(only remote daemons keep a result cache)");
-  }
-  if (shard_out_given && !shard_given) {
-    usage_error(prog, "--shard-out", "--shard-out requires --shard");
-  }
-  if (opts.shard_serve && !shard_given) {
-    usage_error(prog, "--shard-serve", "--shard-serve requires --shard");
-  }
-  if (opts.shard_serve && shard_out_given) {
-    usage_error(prog, "--shard-serve",
-                "--shard-serve streams partials to a --merge peer and "
-                "cannot combine with --shard-out");
-  }
-  opts.shard_mode = shard_given;
-  if (shard_given && !opts.shard_serve && opts.shard_out.empty()) {
+                    "2147483647)")},
+      {"--shard", "i/k",
+       [&opts](const std::string& text) {
+         return parse_shard(text, &opts.shard);
+       }},
+      {"--shard-out", "FILE",
+       flags::text(&opts.shard_out, "expected a file path")},
+      {"--shard-serve", "PORT",
+       flags::count(&opts.shard_serve_port, 0, 65535,
+                    "expected a port in 0..65535 (0 = ephemeral)")},
+      {"--merge", "SRC,...",
+       flags::list("empty file name in list",
+                   flags::append(&opts.merge_inputs))},
+      {"--journal", "FILE", flags::text(&opts.journal, "expected a file path")},
+      {"--resume", "FILE",
+       flags::text(&opts.resume, "expected a journal file path")},
+      {"--no-cache", "", flags::on(&opts.no_cache)},
+  };
+  // The rule table, checked in order (the first refusal is reported).
+  // --batch and --steal are properties of the shared dispatch core,
+  // legal under any worker lane (forked or remote) and any hybrid mix
+  // of them - but meaningless on a pure --threads run, where they
+  // would silently do nothing (threads take single cells and cannot
+  // usefully straggle).
+  table.rules = {
+      {"--merge", {}, {"--shard"}, "cannot combine --merge with --shard"},
+      {"--connect", {}, {"--merge"},
+       "--merge evaluates nothing, so --connect is meaningless"},
+      {"--fleet", {}, {"--connect"},
+       "--fleet resolves its daemons from the registry; naming them "
+       "with --connect too is contradictory - pick one"},
+      {"--fleet", {}, {"--merge"},
+       "--merge evaluates nothing, so --fleet is meaningless"},
+      {"--fleet-workers", {"--fleet"}, {},
+       "--fleet-workers only applies to --fleet runs"},
+      {"--auth-key-file", {"--connect", "--fleet"}, {},
+       "--auth-key-file only applies to --connect or --fleet runs (only "
+       "remote daemons authenticate)"},
+      {"--batch", {"--workers", "--connect", "--fleet"}, {},
+       "--batch only applies to runs with a --workers, --connect or "
+       "--fleet lane"},
+      {"--steal", {"--workers", "--connect", "--fleet"}, {},
+       "--steal only applies to runs with a --workers, --connect or "
+       "--fleet lane (a pure --threads run has no stragglers worth "
+       "stealing from)"},
+      {"--handshake-timeout-ms", {"--connect", "--fleet"}, {},
+       "--handshake-timeout-ms only applies to --connect or --fleet runs"},
+      {"--journal", {}, {"--resume"},
+       "--journal starts a fresh journal and --resume continues one; "
+       "pick one"},
+      {"--merge", {}, {"--journal", "--resume"},
+       "--merge evaluates nothing, so there is nothing to journal or "
+       "resume"},
+      {"--shard", {}, {"--journal", "--resume"},
+       "the sweep journal covers whole sweeps and a --shard run "
+       "already journals its own cells; journal the unsharded run (or "
+       "re-run the lost shard) instead of combining it with --shard"},
+      {"--no-cache", {"--connect", "--fleet"}, {},
+       "--no-cache only applies to --connect or --fleet runs (only "
+       "remote daemons keep a result cache)"},
+      {"--shard-out", {"--shard"}, {}, "--shard-out requires --shard"},
+      {"--shard-serve", {"--shard"}, {}, "--shard-serve requires --shard"},
+      {"--shard-serve", {}, {"--shard-out"},
+       "--shard-serve streams its journal records to a --merge peer "
+       "and cannot combine with --shard-out"},
+  };
+  const flags::Given given = flags::parse(argc, argv, table);
+  opts.shard_mode = given.count("--shard") != 0;
+  opts.shard_serve = given.count("--shard-serve") != 0;
+  if (opts.shard_mode && !opts.shard_serve && opts.shard_out.empty()) {
     opts.shard_out = "shard-" + std::to_string(opts.shard.index) + "-of-" +
                      std::to_string(opts.shard.count) + ".rbxw";
   }
@@ -414,6 +223,7 @@ struct SweepRunner::MergeSource {
 SweepRunner::SweepRunner(const ExperimentOptions& opts,
                          std::size_t default_threads)
     : opts_(opts) {
+  const bool threads_named = opts_.threads != 0;  // before the default
   if (opts_.threads == 0) {
     opts_.threads = default_threads;
   }
@@ -474,11 +284,11 @@ SweepRunner::SweepRunner(const ExperimentOptions& opts,
     // threads keeps each sweep's forks cheap and predictable.
     lanes.push_back(std::make_unique<ForkLane>(opts_.workers));
   }
-  if (opts_.threads_given ||
-      (opts_.workers == 0 && opts_.connect.empty() && !opts_.fleet_given)) {
+  const bool remote_lane = !opts_.connect.empty() || opts_.fleet.port != 0;
+  if (threads_named || (opts_.workers == 0 && !remote_lane)) {
     lanes.push_back(std::make_unique<ThreadLane>(opts_.threads));
   }
-  if (!opts_.connect.empty() || opts_.fleet_given) {
+  if (remote_lane) {
     // One remote lane: --connect names a static member list, --fleet a
     // registry (parse() refuses both at once).
     fleet::FleetLaneOptions remote;

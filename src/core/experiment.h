@@ -90,13 +90,13 @@
 //                  evaluations; the answers are bitwise identical either
 //                  way)
 //
-// Parsing is strict: an unknown flag, a malformed number, a negative value,
-// --threads=0, --streams=0, --shard=3/2, --connect=host (no port), --steal without a
-// worker lane, --journal together with --resume, either with --shard or
-// --merge (they evaluate elsewhere or not at all), or --no-cache without a
-// --connect lane prints a usage message to stderr and exits with status 2
-// (a typo'd flag silently falling back to defaults once cost a day of
-// benchmarking against the wrong sample count).
+// Parsing is strict (support/flags.h): an unknown flag, a malformed
+// number, a negative or out-of-range value (--threads=0, --streams=0,
+// --shard=3/2, --connect=host with no port, ...) or a flag combination
+// the rule table in ExperimentOptions::parse refuses prints a usage
+// message to stderr and exits with status 2.  That table - which flag
+// needs a lane or another flag, which flags exclude each other - is the
+// complete list of refused combinations.
 #pragma once
 
 #include <cstddef>
@@ -110,6 +110,7 @@
 #include "core/executor.h"
 #include "core/result.h"
 #include "net/socket.h"
+#include "support/flags.h"  // parse_strict_u64
 
 namespace rbx {
 
@@ -125,24 +126,17 @@ struct JournalAnalysis;
 struct SweepEndStats;
 }
 
-// Strict non-negative integer parse shared by the bench flags and
-// tools/sweep_workerd: rejects empty strings, signs, whitespace, non-digit
-// suffixes and out-of-range values.
-bool parse_strict_u64(const char* text, std::uint64_t* out);
-
 struct ExperimentOptions {
   std::size_t samples = 20000;
   std::size_t streams = 1;   // RNG sub-streams per cell (--streams=K)
   std::size_t nmax = 0;      // 0 = bench default
   std::uint64_t seed = 20260610;
-  std::size_t threads = 0;   // 0 = hardware concurrency
-  bool threads_given = false;  // --threads named explicitly: add the lane
-                               // even when --workers/--connect are present
+  std::size_t threads = 0;   // 0 = not named: hardware concurrency, and
+                             // no thread lane beside --workers/--connect
   std::size_t workers = 0;   // forked-worker lane size; 0 = no fork lane
   std::size_t batch = 0;     // cells per worker batch; 0 = adaptive
   std::vector<net::Endpoint> connect;  // non-empty = TCP lane
-  bool fleet_given = false;  // --fleet named: registry-resolved TCP lane
-  net::Endpoint fleet;       // the registry endpoint
+  net::Endpoint fleet;       // --fleet registry; port 0 = not named
   std::size_t fleet_workers = 0;  // --fleet-workers: grant cap; 0 = share
   std::string auth_key_file;  // --auth-key-file: pre-shared key path
   bool steal = false;        // steal stragglers' tails (multi-lane runs)

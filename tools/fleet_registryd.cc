@@ -29,68 +29,33 @@
 //                      are signed under this key
 //   --quiet            no membership notes on stderr
 #include <cstdio>
-#include <cstring>
+#include <string>
 
-#include "core/experiment.h"
 #include "fleet/auth.h"
 #include "fleet/registry.h"
+#include "support/flags.h"
 #include "support/wire.h"
-
-namespace {
-
-[[noreturn]] void usage_error(const char* prog, const char* arg,
-                              const char* why) {
-  std::fprintf(stderr, "%s: bad argument '%s' (%s)\n", prog, arg, why);
-  std::fprintf(stderr,
-               "usage: %s --serve=PORT [--evict-after-ms=N]\n"
-               "       [--lease-ttl-ms=N] [--auth-key-file=PATH] [--quiet]\n",
-               prog);
-  std::exit(2);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace rbx;
   fleet::RegistryOptions opts;
-  const char* prog = argc > 0 ? argv[0] : "fleet_registryd";
-  bool serve_given = false;
   std::string auth_key_file;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--serve=", 8) == 0) {
-      std::uint64_t port = 0;
-      if (!parse_strict_u64(arg + 8, &port) || port > 65535) {
-        usage_error(prog, arg, "expected a port in 0..65535");
-      }
-      opts.port = static_cast<std::uint16_t>(port);
-      serve_given = true;
-    } else if (std::strncmp(arg, "--evict-after-ms=", 17) == 0) {
-      std::uint64_t n = 0;
-      if (!parse_strict_u64(arg + 17, &n) || n == 0 || n > 2147483647ull) {
-        usage_error(prog, arg, "expected a positive millisecond count");
-      }
-      opts.table.evict_after_ms = static_cast<std::int64_t>(n);
-    } else if (std::strncmp(arg, "--lease-ttl-ms=", 15) == 0) {
-      std::uint64_t n = 0;
-      if (!parse_strict_u64(arg + 15, &n) || n == 0 || n > 2147483647ull) {
-        usage_error(prog, arg, "expected a positive millisecond count");
-      }
-      opts.table.lease_ttl_ms = static_cast<std::int64_t>(n);
-    } else if (std::strncmp(arg, "--auth-key-file=", 16) == 0) {
-      if (arg[16] == '\0') {
-        usage_error(prog, arg, "expected a key file path");
-      }
-      auth_key_file = arg + 16;
-    } else if (std::strcmp(arg, "--quiet") == 0) {
-      opts.quiet = true;
-    } else {
-      usage_error(prog, arg, "unknown flag");
-    }
-  }
-  if (!serve_given) {
-    usage_error(prog, "--serve", "required flag missing");
-  }
+  flags::Table table;
+  table.flags = {
+      {"--serve", "PORT",
+       flags::count(&opts.port, 0, 65535, "expected a port in 0..65535"),
+       /*required=*/true},
+      {"--evict-after-ms", "N",
+       flags::count(&opts.table.evict_after_ms, 1, 2147483647,
+                    "expected a positive millisecond count")},
+      {"--lease-ttl-ms", "N",
+       flags::count(&opts.table.lease_ttl_ms, 1, 2147483647,
+                    "expected a positive millisecond count")},
+      {"--auth-key-file", "PATH",
+       flags::text(&auth_key_file, "expected a key file path")},
+      {"--quiet", "", flags::on(&opts.quiet)},
+  };
+  flags::parse(argc, argv, table);
   try {
     if (!auth_key_file.empty()) {
       opts.table.auth_key = fleet::load_auth_key(auth_key_file);

@@ -11,22 +11,36 @@
 //   perf_bench --compare=BENCH_main.json --threshold=25
 //   perf_bench --input=BENCH_new.json --compare=BENCH_old.json
 //
+// Flags (strict; anything malformed exits 2, like the bench flags):
+//   --list              print kernel names and exit
+//   --help, -h          print the usage synopsis and exit
+//   --kernels=a,b,c     run only these kernels (default: all)
+//   --reps=N            reps per interval (default: calibrate)
+//   --intervals=N       timed intervals per kernel (default 12)
+//   --interval-ms=F     calibration target per interval (default 20)
+//   --threads=N         concurrent closure instances (default 1)
+//   --warmup=N          untimed warmup intervals (default 1)
+//   --label=STR         report label (default "dev")
+//   --timestamp=STR     stored verbatim in the report
+//   --out=FILE          output path (default BENCH_<label>.json)
+//   --from-journal=FILE import sweep-end perf records (repeatable)
+//   --input=FILE        load a report instead of running kernels
+//   --compare=OLD.json  print deltas vs OLD; exit 1 past threshold
+//   --threshold=PCT     regression threshold in percent (default 25)
+//
 // Exit codes: 0 ok, 1 regression past threshold, 2 usage error.
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/experiment.h"
 #include "perf/bench.h"
 #include "perf/report.h"
+#include "support/flags.h"
 
-namespace {
-
+namespace flags = rbx::flags;
 using rbx::perf::BenchOptions;
 using rbx::perf::BenchReport;
 using rbx::perf::CompareOutcome;
@@ -34,90 +48,8 @@ using rbx::perf::Kernel;
 using rbx::perf::KernelRegistry;
 using rbx::perf::KernelStats;
 
-void usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: perf_bench [options]\n"
-      "  --list                 print kernel names and exit\n"
-      "  --kernels=a,b,c        run only these kernels (default: all)\n"
-      "  --reps=N               reps per interval (default: calibrate)\n"
-      "  --intervals=N          timed intervals per kernel (default 12)\n"
-      "  --interval-ms=F        calibration target per interval (default "
-      "20)\n"
-      "  --threads=N            concurrent closure instances (default 1)\n"
-      "  --warmup=N             untimed warmup intervals (default 1)\n"
-      "  --label=STR            report label (default \"dev\")\n"
-      "  --timestamp=STR        stored verbatim in the report\n"
-      "  --out=FILE             output path (default BENCH_<label>.json)\n"
-      "  --from-journal=FILE    import sweep-end perf records (repeatable)\n"
-      "  --input=FILE           load a report instead of running kernels\n"
-      "  --compare=OLD.json     print deltas vs OLD; exit 1 past threshold\n"
-      "  --threshold=PCT        regression threshold in percent (default "
-      "25)\n");
-}
-
-[[noreturn]] void usage_error(const std::string& what) {
-  std::fprintf(stderr, "perf_bench: %s\n", what.c_str());
-  usage(stderr);
-  std::exit(2);
-}
-
-bool consume(const std::string& arg, const char* name, std::string* value) {
-  const std::string prefix = std::string(name) + "=";
-  if (arg.rfind(prefix, 0) != 0) {
-    return false;
-  }
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
-// The benches' and daemons' strict rule: no sign, no whitespace, no
-// suffix, no wrap-around.
-std::uint64_t parse_count(const std::string& value, const char* flag) {
-  std::uint64_t v = 0;
-  if (!rbx::parse_strict_u64(value.c_str(), &v)) {
-    usage_error(std::string(flag) + " wants a non-negative integer, got '" +
-                value + "'");
-  }
-  return v;
-}
-
-// Finite and > 0: a NaN threshold compares false against every delta and
-// would switch the regression gate off.
-double parse_positive(const std::string& value, const char* flag) {
-  try {
-    std::size_t end = 0;
-    const double v = std::stod(value, &end);
-    if (end != value.size() || !std::isfinite(v) || v <= 0.0) {
-      throw std::invalid_argument(value);
-    }
-    return v;
-  } catch (const std::exception&) {
-    usage_error(std::string(flag) + " wants a positive number, got '" +
-                value + "'");
-  }
-}
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > start) {
-      out.push_back(csv.substr(start, end - start));
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  const std::string prog = argc > 0 ? argv[0] : "perf_bench";
   BenchOptions options;
   bool list = false;
   std::string label = "dev";
@@ -129,56 +61,42 @@ int main(int argc, char** argv) {
   std::vector<std::string> kernel_names;
   std::vector<std::string> journals;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (arg == "--list") {
-      list = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(stdout);
-      return 0;
-    } else if (consume(arg, "--kernels", &value)) {
-      kernel_names = split_csv(value);
-      if (kernel_names.empty()) {
-        usage_error("--kernels wants a comma-separated kernel list");
-      }
-    } else if (consume(arg, "--reps", &value)) {
-      options.reps = parse_count(value, "--reps");
-    } else if (consume(arg, "--intervals", &value)) {
-      options.intervals =
-          static_cast<std::size_t>(parse_count(value, "--intervals"));
-      if (options.intervals == 0) {
-        usage_error("--intervals must be at least 1");
-      }
-    } else if (consume(arg, "--interval-ms", &value)) {
-      options.interval_ms = parse_positive(value, "--interval-ms");
-    } else if (consume(arg, "--threads", &value)) {
-      options.threads =
-          static_cast<std::size_t>(parse_count(value, "--threads"));
-      if (options.threads == 0) {
-        usage_error("--threads must be at least 1");
-      }
-    } else if (consume(arg, "--warmup", &value)) {
-      options.warmup_intervals =
-          static_cast<std::size_t>(parse_count(value, "--warmup"));
-    } else if (consume(arg, "--label", &value)) {
-      label = value;
-    } else if (consume(arg, "--timestamp", &value)) {
-      timestamp = value;
-    } else if (consume(arg, "--out", &value)) {
-      out_path = value;
-    } else if (consume(arg, "--from-journal", &value)) {
-      journals.push_back(value);
-    } else if (consume(arg, "--input", &value)) {
-      input_path = value;
-    } else if (consume(arg, "--compare", &value)) {
-      compare_path = value;
-    } else if (consume(arg, "--threshold", &value)) {
-      threshold_pct = parse_positive(value, "--threshold");
-    } else {
-      usage_error("unknown flag '" + arg + "'");
-    }
-  }
+  flags::Table table;
+  // --help answers at its place in argv: a bad flag before it still
+  // refuses, anything after it is never read.
+  const flags::Setter help = [&](const std::string&) -> std::string {
+    std::fputs(flags::usage(prog, table).c_str(), stdout);
+    std::exit(0);
+  };
+  const flags::Setter kernel_list =
+      flags::list("empty kernel name in list", flags::append(&kernel_names));
+  table.flags = {
+      {"--list", "", flags::on(&list)},
+      {"--help", "", help},
+      {"-h", "", help},
+      {"--kernels", "a,b,c",
+       [&](const std::string& value) {
+         kernel_names.clear();  // the last --kernels wins
+         return kernel_list(value);
+       }},
+      {"--reps", "N", flags::count(&options.reps)},
+      {"--intervals", "N",
+       flags::count(&options.intervals, 1, UINT64_MAX,
+                    "expected a positive interval count")},
+      {"--interval-ms", "F", flags::positive(&options.interval_ms)},
+      {"--threads", "N",
+       flags::count(&options.threads, 1, UINT64_MAX,
+                    "expected a positive thread count")},
+      {"--warmup", "N", flags::count(&options.warmup_intervals)},
+      {"--label", "STR", flags::text(&label)},
+      {"--timestamp", "STR", flags::text(&timestamp)},
+      {"--out", "FILE", flags::text(&out_path)},
+      {"--from-journal", "FILE", flags::append(&journals)},
+      {"--input", "FILE", flags::text(&input_path)},
+      {"--compare", "OLD.json", flags::text(&compare_path)},
+      {"--threshold", "PCT", flags::positive(&threshold_pct)},
+  };
+  flags::parse(argc, argv, table);
 
   KernelRegistry registry;
   rbx::perf::register_default_kernels(registry);
@@ -206,8 +124,10 @@ int main(int argc, char** argv) {
         for (const std::string& name : kernel_names) {
           const Kernel* k = registry.find(name);
           if (k == nullptr) {
-            usage_error("unknown kernel '" + name +
-                        "' (--list shows the registry)");
+            flags::refuse(prog, "--kernels",
+                          "unknown kernel '" + name +
+                              "'; --list shows the registry",
+                          table);
           }
           selected.push_back(k);
         }

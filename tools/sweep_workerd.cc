@@ -34,9 +34,9 @@
 //   --fail-after=N   drop a session instead of serving its batch N+1 and
 //                    exit 1 - a deterministic "worker killed mid-sweep"
 //                    for recovery tests and CI chaos runs
-//   --delay-ms=N     stall N ms before evaluating each batch - a
-//                    deterministic straggler for work-stealing tests and
-//                    CI throttle runs
+//   --delay-ms=N     stall N ms (at most 2147483647) before evaluating
+//                    each batch - a deterministic straggler for
+//                    work-stealing tests and CI throttle runs
 //   --cache-dir=DIR  remember every evaluated cell in DIR/cache.rbxj and
 //                    answer repeated cells from the cache (bitwise
 //                    identical to evaluating; only faster).  DIR must
@@ -70,127 +70,65 @@
 //                    (core/eval_context.h; default 1); it bounds resources
 //                    only and never changes a result
 //   --quiet          no connection notes on stderr
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
+#include <string>
 
-#include "core/experiment.h"
 #include "fleet/auth.h"
 #include "fleet/client.h"
 #include "net/worker.h"
+#include "support/flags.h"
 #include "support/wire.h"
-
-namespace {
-
-[[noreturn]] void usage_error(const char* prog, const char* arg,
-                              const char* why) {
-  std::fprintf(stderr, "%s: bad argument '%s' (%s)\n", prog, arg, why);
-  std::fprintf(stderr,
-               "usage: %s --serve=PORT [--max-coordinators=N] [--once]\n"
-               "       [--fail-after=N] [--delay-ms=N] [--cache-dir=DIR]\n"
-               "       [--cache-max-bytes=N] [--fleet=HOST:PORT]\n"
-               "       [--advertise=HOST] [--weight=N] [--heartbeat-ms=N]\n"
-               "       [--auth-key-file=PATH] [--eval-threads=N] [--quiet]\n",
-               prog);
-  std::exit(2);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace rbx;
   net::WorkerOptions opts;
-  const char* prog = argc > 0 ? argv[0] : "sweep_workerd";
-  bool serve_given = false;
-  bool fleet_given = false;
   net::Endpoint fleet_registry;
   std::string advertise = "127.0.0.1";
   std::uint32_t weight = 1;
   int heartbeat_ms = 2000;
   std::string auth_key_file;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--serve=", 8) == 0) {
-      std::uint64_t port = 0;
-      if (!parse_strict_u64(arg + 8, &port) || port > 65535) {
-        usage_error(prog, arg, "expected a port in 0..65535");
-      }
-      opts.port = static_cast<std::uint16_t>(port);
-      serve_given = true;
-    } else if (std::strncmp(arg, "--fail-after=", 13) == 0) {
-      std::uint64_t n = 0;
-      if (!parse_strict_u64(arg + 13, &n)) {
-        usage_error(prog, arg, "expected a non-negative integer");
-      }
-      opts.fail_after = static_cast<std::size_t>(n);
-    } else if (std::strncmp(arg, "--max-coordinators=", 19) == 0) {
-      std::uint64_t n = 0;
-      if (!parse_strict_u64(arg + 19, &n) || n == 0) {
-        usage_error(prog, arg, "expected a positive integer");
-      }
-      opts.max_coordinators = static_cast<std::size_t>(n);
-    } else if (std::strncmp(arg, "--eval-threads=", 15) == 0) {
-      std::uint64_t n = 0;
-      if (!parse_strict_u64(arg + 15, &n) || n == 0) {
-        usage_error(prog, arg, "expected a positive thread count");
-      }
-      opts.eval_threads = static_cast<std::size_t>(n);
-    } else if (std::strncmp(arg, "--delay-ms=", 11) == 0) {
-      std::uint64_t n = 0;
-      if (!parse_strict_u64(arg + 11, &n)) {
-        usage_error(prog, arg, "expected a non-negative integer");
-      }
-      opts.delay_ms = static_cast<std::size_t>(n);
-    } else if (std::strncmp(arg, "--cache-dir=", 12) == 0) {
-      if (arg[12] == '\0') {
-        usage_error(prog, arg, "expected a directory path");
-      }
-      opts.cache_dir = arg + 12;
-    } else if (std::strncmp(arg, "--cache-max-bytes=", 18) == 0) {
-      std::uint64_t n = 0;
-      if (!parse_strict_u64(arg + 18, &n)) {
-        usage_error(prog, arg, "expected a non-negative byte count");
-      }
-      opts.cache_max_bytes = static_cast<std::size_t>(n);
-    } else if (std::strncmp(arg, "--fleet=", 8) == 0) {
-      std::string why;
-      if (!net::parse_endpoint(arg + 8, &fleet_registry, &why)) {
-        usage_error(prog, arg, why.c_str());
-      }
-      fleet_given = true;
-    } else if (std::strncmp(arg, "--advertise=", 12) == 0) {
-      if (arg[12] == '\0') {
-        usage_error(prog, arg, "expected a host name");
-      }
-      advertise = arg + 12;
-    } else if (std::strncmp(arg, "--weight=", 9) == 0) {
-      std::uint64_t n = 0;
-      if (!parse_strict_u64(arg + 9, &n) || n == 0 || n > 0xffffffffull) {
-        usage_error(prog, arg, "expected a positive 32-bit weight");
-      }
-      weight = static_cast<std::uint32_t>(n);
-    } else if (std::strncmp(arg, "--heartbeat-ms=", 15) == 0) {
-      std::uint64_t n = 0;
-      if (!parse_strict_u64(arg + 15, &n) || n == 0 || n > 2147483647ull) {
-        usage_error(prog, arg, "expected a positive millisecond count");
-      }
-      heartbeat_ms = static_cast<int>(n);
-    } else if (std::strncmp(arg, "--auth-key-file=", 16) == 0) {
-      if (arg[16] == '\0') {
-        usage_error(prog, arg, "expected a key file path");
-      }
-      auth_key_file = arg + 16;
-    } else if (std::strcmp(arg, "--once") == 0) {
-      opts.once = true;
-    } else if (std::strcmp(arg, "--quiet") == 0) {
-      opts.quiet = true;
-    } else {
-      usage_error(prog, arg, "unknown flag");
-    }
-  }
-  if (!serve_given) {
-    usage_error(prog, "--serve", "required flag missing");
-  }
+  flags::Table table;
+  table.flags = {
+      {"--serve", "PORT",
+       flags::count(&opts.port, 0, 65535, "expected a port in 0..65535"),
+       /*required=*/true},
+      {"--max-coordinators", "N",
+       flags::count(&opts.max_coordinators, 1, UINT64_MAX,
+                    "expected a positive integer")},
+      {"--once", "", flags::on(&opts.once)},
+      {"--fail-after", "N", flags::count(&opts.fail_after)},
+      // Capped like --heartbeat-ms: the stall is a std::chrono duration,
+      // and a value past 2^63 would wrap negative and never stall.
+      {"--delay-ms", "N",
+       flags::count(&opts.delay_ms, 0, 2147483647,
+                    "expected a millisecond count (at most 2147483647)")},
+      {"--cache-dir", "DIR",
+       flags::text(&opts.cache_dir, "expected a directory path")},
+      {"--cache-max-bytes", "N", flags::count(&opts.cache_max_bytes)},
+      {"--fleet", "HOST:PORT",
+       [&fleet_registry](const std::string& text) {
+         std::string why;
+         net::parse_endpoint(text, &fleet_registry, &why);
+         return why;
+       }},
+      {"--advertise", "HOST", flags::text(&advertise, "expected a host name")},
+      {"--weight", "N",
+       flags::count(&weight, 1, 0xffffffffull,
+                    "expected a positive 32-bit weight")},
+      {"--heartbeat-ms", "N",
+       flags::count(&heartbeat_ms, 1, 2147483647,
+                    "expected a positive millisecond count")},
+      {"--auth-key-file", "PATH",
+       flags::text(&auth_key_file, "expected a key file path")},
+      {"--eval-threads", "N",
+       flags::count(&opts.eval_threads, 1, UINT64_MAX,
+                    "expected a positive thread count")},
+      {"--quiet", "", flags::on(&opts.quiet)},
+  };
+  const bool fleet_given =
+      flags::parse(argc, argv, table).count("--fleet") != 0;
   try {
     if (!auth_key_file.empty()) {
       opts.auth_key = fleet::load_auth_key(auth_key_file);
