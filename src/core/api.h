@@ -37,15 +37,18 @@
 //                reconciliation, streaming result merge and mid-sweep
 //                re-admission of lost workers for all of them, returning
 //                per-cell outcomes bitwise identical to a serial run;
-//   EvalContext  the ambient per-evaluation thread budget
+//   EvalContext  the ambient per-evaluation thread budget and loan
 //                (core/eval_context.h): lanes install it around their
 //                serve loops (DispatchOptions::eval_threads, adaptive by
 //                default - a lane raising fewer workers than its
 //                configured parallelism hands the spare threads to each
 //                worker's intra-cell stream pool), worker daemons set it
 //                from --eval-threads, and the Monte-Carlo backends read
-//                it to size their stream pools - it bounds resources
-//                only and never changes output;
+//                it to size their stream pools and event pipelines; a
+//                ThreadLane's idle workers also lend their threads to the
+//                cells still running through its loan
+//                (support/thread_loan.h) - it bounds resources only and
+//                never changes output;
 //   EvalPlan     a sweep cell's evaluation recipe as data - which
 //                backends to run and how to merge their metrics - so a
 //                cell can ship to a worker daemon that has no access to
@@ -141,8 +144,10 @@
 // Layered as follows (each layer usable on its own):
 //
 //   support/   deterministic RNG, statistics, tables, the wire format,
-//              EINTR-safe fd I/O, and support/flags - the table-driven
-//              strict flag parser of every bench and tool
+//              EINTR-safe fd I/O, support/flags - the table-driven
+//              strict flag parser of every bench and tool - and
+//              support/thread_loan, the count of lent threads that
+//              carries a lane's loan down to des/
 //   numerics/  dense/sparse linear algebra, ODE, quadrature, Poisson
 //   markov/    CTMC/DTMC engine, phase-type distributions
 //   model/     the paper's analytic models (Sections 2-4)

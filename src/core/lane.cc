@@ -136,22 +136,37 @@ namespace {
 // the batch, evaluate every cell through cell_fn, answer with one
 // kFrameResultBatch.  Exactly this loop runs inside a ThreadLane worker
 // thread and inside a ForkLane child process - from the dispatch loop's
-// point of view the two are indistinguishable.  eval_threads is installed
-// as the worker's ambient EvalContext for the whole session, so every
-// cell_fn invocation sees the lane's intra-cell thread budget.  Returns
-// true on clean EOF, false on a corrupt or out-of-protocol request
-// stream.
+// point of view the two are indistinguishable.  eval_threads and `loan`
+// are installed as the worker's ambient EvalContext for the whole
+// session, so every cell_fn invocation sees the lane's intra-cell thread
+// budget and its lendable threads.  While blocked waiting for the next
+// batch the worker lends its budget to `loan` (null: no lane loan), and
+// it takes the budget back as soon as the wait ends.  Returns true on
+// clean EOF, false on a corrupt or out-of-protocol request stream.
 bool serve_cells(FrameChannel& ch, const CellFn& cell_fn,
-                 std::size_t eval_threads) {
-  EvalContextScope scope(EvalContext{std::max<std::size_t>(eval_threads, 1)});
+                 std::size_t eval_threads, ThreadLoan* loan) {
+  const std::size_t budget = std::max<std::size_t>(eval_threads, 1);
+  EvalContextScope scope(EvalContext{budget, loan});
   for (;;) {
     wire::Frame frame;
+    if (loan != nullptr) {
+      loan->lend(budget);
+    }
+    bool received = false;
+    bool corrupt = false;
     try {
-      if (!ch.recv(&frame)) {
-        return true;  // coordinator closed the channel: done
-      }
+      received = ch.recv(&frame);
     } catch (const wire::Error&) {
+      corrupt = true;
+    }
+    if (loan != nullptr) {
+      loan->reclaim(budget);
+    }
+    if (corrupt) {
       return false;
+    }
+    if (!received) {
+      return true;  // coordinator closed the channel: done
     }
     if (frame.type != kFrameCellBatch) {
       return false;
@@ -235,9 +250,10 @@ void ThreadLane::start(std::size_t cell_count, const CellFn& cell_fn,
     auto worker = std::make_unique<Worker>(i);
     worker->channel_ = FrameChannel(sv[0]);
     const int serve_fd = sv[1];
-    worker->thread_ = std::thread([serve_fd, &cell_fn, budget]() {
+    worker->thread_ = std::thread([serve_fd, &cell_fn, budget,
+                                   loan = &loan_]() {
       FrameChannel ch(serve_fd);
-      serve_cells(ch, cell_fn, budget);
+      serve_cells(ch, cell_fn, budget, loan);
     });
     out->push_back(worker.get());
     workers_.push_back(std::move(worker));
@@ -316,7 +332,11 @@ bool ForkLane::spawn(Worker& worker) {
   // the child inherits every lock as it stood at that instant.  glibc
   // releases the malloc arena and stdio locks across fork, and the
   // child's protocol path (FrameChannel, the wire codecs, io::*) is plain
-  // malloc + raw syscalls - but the cell_fn it runs is arbitrary code.
+  // malloc + raw syscalls, and a thread-lane cell's borrowed helpers
+  // (des/async_sim.cc) and the lane's ThreadLoan hand off through atomics
+  // alone, so a child forked mid-cell inherits no lock of theirs (nor a
+  // loan: serve_cells gets none here) - but the cell_fn it runs is
+  // arbitrary code.
   // Any lock that code shares with a parent thread must be released in
   // the child by a pthread_atfork handler, as the registered analytic
   // backend does for its cache stripes (core/backend.cc); otherwise a
@@ -337,7 +357,8 @@ bool ForkLane::spawn(Worker& worker) {
   if (pid == 0) {
     close_other_fds(sv[1]);
     FrameChannel ch(sv[1]);
-    const bool clean = serve_cells(ch, *cell_fn_, worker_eval_threads_);
+    const bool clean =
+        serve_cells(ch, *cell_fn_, worker_eval_threads_, /*loan=*/nullptr);
     ::_exit(clean ? 0 : 1);
   }
   ::close(sv[1]);

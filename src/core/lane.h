@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "core/executor.h"
+#include "support/thread_loan.h"
 #include "support/wire.h"
 
 namespace rbx {
@@ -207,11 +208,16 @@ class Lane {
   //
   // eval_threads is the intra-cell thread budget each worker installs as
   // its ambient EvalContext before evaluating (the Monte-Carlo backend's
-  // stream pool, core/eval_context.h).  0 = adaptive: a worker's budget
-  // is its lane's configured parallelism divided by the workers actually
-  // raised, so a 4-thread lane handed 1 cell gives that cell all 4
-  // threads, and handed 8 cells gives each worker a budget of 1.  Remote
-  // lanes ignore it - each daemon owns its budget.
+  // stream pool and event pipeline, core/eval_context.h).  0 = adaptive:
+  // a worker's budget is its lane's configured parallelism divided by the
+  // workers actually raised, so a 4-thread lane handed 1 cell gives that
+  // cell all 4 threads, and handed 8 cells gives each worker a budget of
+  // 1.  That static share never changes mid-sweep; on top of it a
+  // ThreadLane lends the shares of its idle workers to the cells still
+  // running (ThreadLoan, support/thread_loan.h), so once the queue is
+  // empty a straggler's pipeline runs on the threads of the workers that
+  // wait.  ForkLane children keep the static share alone, and remote
+  // lanes ignore eval_threads - each daemon owns its budget.
   virtual void start(std::size_t cell_count, const CellFn& cell_fn,
                      std::size_t eval_threads,
                      std::vector<LaneWorker*>* out) = 0;
@@ -223,7 +229,10 @@ class Lane {
 // Worker threads inside the calling process.  Each worker owns one
 // socketpair; the thread runs the same frame-serving loop as a forked
 // child, so from the dispatch loop's point of view a thread is just a
-// very reliable worker that can never crash independently.
+// very reliable worker that can never crash independently.  A worker
+// blocked waiting for its next batch lends its thread budget to the
+// lane's ThreadLoan and takes it back when a batch arrives, so a width-1
+// lane never has a lender while its cell runs.
 class ThreadLane final : public Lane {
  public:
   // threads = 0 means std::thread::hardware_concurrency().
@@ -242,6 +251,7 @@ class ThreadLane final : public Lane {
   struct Worker;
 
   std::size_t threads_;
+  ThreadLoan loan_;  // the idle workers' threads, lent to running cells
   std::vector<std::unique_ptr<Worker>> workers_;
 };
 

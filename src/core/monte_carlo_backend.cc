@@ -43,6 +43,10 @@ std::size_t stream_chunk(std::size_t samples, std::size_t streams,
 // MakeSim(seed) builds a simulator; RunOne(sim, chunk) runs one stream's
 // chunk.  Each worker constructs a single simulator and reseeds it per
 // stream, reusing the event tables and scratch buffers across streams.
+// The stream workers are the cell's own budget; threads its lane lends
+// reach the streams through RunOne (the asynchronous simulator's event
+// pipeline), which must capture the loan before the workers start -
+// they do not inherit the ambient context.
 template <typename Result, typename MakeSim, typename RunOne>
 Result run_streams(const Scenario& s, MakeSim make_sim, RunOne run_one) {
   const std::size_t streams = s.streams();
@@ -186,18 +190,24 @@ void evaluate_prp(const Scenario& s, ResultSet& out) {
 }  // namespace
 
 // Runs the scheme's simulator over the full budget.  streams() == 1 is
-// the exact historical path (one simulator seeded with s.seed());
-// streams() > 1 fans out through run_streams.
+// the exact historical path (one simulator seeded with s.seed()), whose
+// event pipeline gets the budget's other threads and the lane's loan;
+// streams() > 1 fans out through run_streams, each stream's pipeline
+// borrowing from the same loan.
 AsyncSimResult run_async_monte_carlo(const Scenario& s) {
+  const EvalContext& context = current_eval_context();
+  ThreadLoan* const loan = context.loan;
   if (s.streams() <= 1) {
+    const std::size_t helpers =
+        std::max<std::size_t>(context.thread_budget, 1) - 1;
     AsyncRbSimulator sim(s.params(), s.seed());
-    return sim.run_lines(s.samples(), s.error_rate());
+    return sim.run_lines(s.samples(), s.error_rate(), helpers, loan);
   }
   return run_streams<AsyncSimResult>(
       s,
       [&s](std::uint64_t seed) { return AsyncRbSimulator(s.params(), seed); },
-      [&s](AsyncRbSimulator& sim, std::size_t chunk) {
-        return sim.run_lines(chunk, s.error_rate());
+      [&s, loan](AsyncRbSimulator& sim, std::size_t chunk) {
+        return sim.run_lines(chunk, s.error_rate(), /*helpers=*/0, loan);
       });
 }
 

@@ -21,9 +21,16 @@
 // .thread_budget intra-cell threads and merged in fixed stream order.
 // streams() == 1 is the exact historical sequential path.
 //
+// Borrowed threads: a cell may use its thread_budget plus whatever its
+// lane lends (EvalContext::loan, core/eval_context.h).  A streams() == 1
+// asynchronous cell spends thread_budget - 1 threads and the loan on its
+// one stream's event pipeline (des/async_sim.h); streamed asynchronous
+// cells pass the loan on to each stream's pipeline.  The simulator takes
+// the loan as an argument, so des/ never reads the ambient context.
+//
 // Deterministic: the same scenario (seed, streams included) produces
-// bitwise identical results on any thread count of any machine - the
-// property the sweep determinism and stream tests pin down.
+// bitwise identical results on any thread count or loan of any machine -
+// the property the sweep determinism, stream and digest tests pin down.
 #pragma once
 
 #include "core/backend.h"

@@ -26,6 +26,40 @@
 // rule R4 active: the next RP re-forms a line at once) is exactly
 // x == all ones, because an interaction always clears bits and an RP
 // that fills the mask forms the line.
+//
+// run_lines without an error process reads the event stream in fixed
+// blocks, each in three stages:
+//
+//   1. raw draws - the engine's two next() per event, serial (~1 ns per
+//      event);
+//   2. delay and category - Rng::exponential(total), whose log1p is
+//      ~24 of these ns, and CategoricalTable::sample on the event's two
+//      draws: a pure function of them (~27 ns per event on a 4-core
+//      Xeon);
+//   3. the observer - t += delay in event order, then the mask and the
+//      line statistics, serial (~7 ns per event).
+//
+// Helper threads may run stage 2 for blocks ahead of the observer: the
+// observer steps the engine past a block (stage 1) and publishes the
+// engine state at its start, and a helper replays the block's draws from
+// that state.  Why the bytes cannot move: without an error process no
+// draw depends on the simulator's state, so event i always takes draws
+// 2i and 2i+1 of the stream - reading ahead changes when they are drawn,
+// never which.  Stage 2 is the per-event loop's arithmetic on those two
+// draws and reads nothing else, so whichever thread computes a block
+// produces the same delays and categories, bit for bit; stage 3 adds
+// them to t in event order on one thread, exactly as the per-event loop
+// did.  The observer never waits on a helper: a block that no helper
+// has finished when the observer reaches it is computed by the observer
+// itself (a duplicate result is harmless).  When the last line forms,
+// the engine is rewound to the state right after the last event
+// consumed, so back-to-back run_lines calls continue the stream as if no
+// block were read ahead.  With no helpers the same loop runs the three
+// stages in turn on one thread, in blocks of 256 events (the draws past
+// the last line are wasted work, so the solo block stays small).  With
+// an error process the error draws interleave with the events by time,
+// so those streams draw each event on demand and feed it through the
+// same observer step.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +69,7 @@
 #include "model/params.h"
 #include "support/rng.h"
 #include "support/stats.h"
+#include "support/thread_loan.h"
 
 namespace rbx {
 
@@ -81,7 +116,17 @@ class AsyncRbSimulator {
   // Simulates until `lines` recovery lines have formed (model semantics).
   // With error_rate > 0, errors arrive as an independent Poisson process
   // and the age of the newest line is sampled at each arrival.
-  AsyncSimResult run_lines(std::size_t lines, double error_rate = 0.0);
+  //
+  // Threads are a resource, never semantics: without an error process the
+  // event pipeline (above) runs stage 2 on `helpers` threads of the
+  // caller's own budget plus whatever `loan` lends, settled at every
+  // block boundary, and the result and the engine state after the call
+  // are bitwise those of helpers = 0 with no loan.  Helper threads start
+  // when threads are granted and are joined before the call returns; the
+  // loan is given back in full.
+  AsyncSimResult run_lines(std::size_t lines, double error_rate = 0.0,
+                           std::size_t helpers = 0,
+                           ThreadLoan* loan = nullptr);
 
   // Simulates `events` RP/interaction events, tracking both observers.
   ExactLineResult run_exact(std::size_t events);

@@ -493,6 +493,34 @@ void register_default_kernels(KernelRegistry& registry) {
                 },
                 /*threads=*/1});
 
+  // fig5's Monte-Carlo straggler as a cell (n=6 at rho=2, streams=1,
+  // 200 lines): the pair is the event pipeline's speedup, three helpers
+  // from a thread budget of 4 vs the one-thread block loop, bitwise the
+  // same ResultSet.  Pinned to one closure like mc_async_cell.
+  registry.add({"mc_straggler_cell", "core", [] {
+                  const Scenario s = Scenario::symmetric(6, 1.0, 0.8)
+                                         .seed(0x5eed)
+                                         .samples(200);
+                  return [s]() -> double {
+                    EvalContextScope scope(EvalContext{4});
+                    const ResultSet r = monte_carlo_backend().evaluate(s);
+                    return r.value("mean_interval_x");
+                  };
+                },
+                /*threads=*/1});
+
+  registry.add({"mc_straggler_cell_seq", "core", [] {
+                  const Scenario s = Scenario::symmetric(6, 1.0, 0.8)
+                                         .seed(0x5eed)
+                                         .samples(200);
+                  return [s]() -> double {
+                    EvalContextScope scope(EvalContext{1});
+                    const ResultSet r = monte_carlo_backend().evaluate(s);
+                    return r.value("mean_interval_x");
+                  };
+                },
+                /*threads=*/1});
+
   registry.add({"mc_stream_merge", "core", [] {
                   // The merge tax alone: combine 8 pre-simulated stream
                   // partials (Chan et al. on every accumulator) without

@@ -5,9 +5,14 @@
 // sub-stream - never by thread - and partials merge in fixed stream
 // order.  The adaptive lane budget (Lane::start eval_threads = 0) is
 // pinned here too: a lane clamped to fewer workers than its configured
-// parallelism hands the freed threads to the survivors' stream pools.
+// parallelism hands the freed threads to the survivors' stream pools,
+// and a ThreadLane's idle workers lend their threads to the cells still
+// running.
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +23,7 @@
 #include "core/scenario.h"
 #include "lane_sets.h"
 #include "support/stats.h"
+#include "support/thread_loan.h"
 #include "support/wire.h"
 
 namespace rbx {
@@ -181,6 +187,80 @@ TEST(StreamLanes, AdaptiveBudgetGivesClampedLanesThreadsBack) {
     for (const CellOutcome& outcome : outcomes) {
       ASSERT_TRUE(outcome.ok()) << outcome.error;
       EXPECT_EQ(outcome.result.value("budget"), 1.0);
+    }
+  }
+}
+
+TEST(StreamLanes, IdleWorkersLendTheirThreads) {
+  // A CellFn that reports whether it ran with a lane loan and how many
+  // threads the lane was lending.  Cell 0 first waits until the other
+  // three cells have finished and the lane lends 3 threads: one per
+  // worker left waiting for a batch (budget 1 each at 4 cells).  The wait
+  // reads the lane's count, never a clock, so it cannot flake; its 10 s
+  // timeout only turns a broken lane into a failure instead of a hang.
+  std::atomic<std::size_t> finished{0};
+  const CellFn probe = [&finished](const Scenario& s, std::size_t index) {
+    ResultSet out("probe", s.label());
+    const ThreadLoan* loan = current_eval_context().loan;
+    out.set("has_loan", loan != nullptr ? 1.0 : 0.0);
+    bool timed_out = false;
+    if (loan != nullptr && index == 0 && s.n() == 3) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (finished.load() < 3 || loan->lendable() < 3) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          timed_out = true;
+          break;
+        }
+        std::this_thread::yield();
+      }
+    }
+    out.set("timed_out", timed_out ? 1.0 : 0.0);
+    out.set("lendable",
+            loan != nullptr ? static_cast<double>(loan->lendable()) : -1.0);
+    ++finished;
+    return out;
+  };
+
+  // ThreadLane(4), four cells: three instant cells finish, their workers
+  // wait for a batch that never comes and lend their threads.
+  {
+    std::vector<Scenario> cells;
+    for (std::size_t i = 0; i < 4; ++i) {
+      cells.push_back(Scenario::symmetric(3, 1.0, 0.5).seed(i + 1));
+    }
+    const auto outcomes = lane_sets::threads(4, cells, probe);
+    ASSERT_EQ(outcomes.size(), 4u);
+    for (const CellOutcome& outcome : outcomes) {
+      ASSERT_TRUE(outcome.ok()) << outcome.error;
+      EXPECT_EQ(outcome.result.value("has_loan"), 1.0);
+    }
+    EXPECT_EQ(outcomes[0].result.value("timed_out"), 0.0);
+    EXPECT_EQ(outcomes[0].result.value("lendable"), 3.0);
+  }
+
+  // ThreadLane(1): its only worker is busy with the cell, so nothing is
+  // lent while a cell runs.
+  {
+    const std::vector<Scenario> cells = {
+        Scenario::symmetric(2, 1.0, 0.5).seed(1),
+        Scenario::symmetric(2, 1.0, 0.5).seed(2)};
+    for (const CellOutcome& outcome : lane_sets::threads(1, cells, probe)) {
+      ASSERT_TRUE(outcome.ok()) << outcome.error;
+      EXPECT_EQ(outcome.result.value("has_loan"), 1.0);
+      EXPECT_EQ(outcome.result.value("lendable"), 0.0);
+    }
+  }
+
+  // A ForkLane child has no lane loan: no count is shared across
+  // processes.
+  {
+    const std::vector<Scenario> cells = {
+        Scenario::symmetric(2, 1.0, 0.5).seed(1),
+        Scenario::symmetric(2, 1.0, 0.5).seed(2)};
+    for (const CellOutcome& outcome : lane_sets::forks(2, 1, cells, probe)) {
+      ASSERT_TRUE(outcome.ok()) << outcome.error;
+      EXPECT_EQ(outcome.result.value("has_loan"), 0.0);
     }
   }
 }
