@@ -32,13 +32,13 @@
 //      ... print tables from *a and *b ...
 //
 // lambda_for_rho() is the shared n/rho grid arithmetic of the fig5 and
-// ABL-LINE sweeps, and time_ns() the timing loop of the micro_* benches.
+// ABL-LINE sweeps.  Every bench evaluates registered backends; wall-clock
+// kernel timings live in perf_bench (src/perf/kernels.cc), not here.
 // Keeping this header in bench/ (not src/) is deliberate: it is
 // presentation scaffolding over the library's public surface, not library
 // code.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <optional>
@@ -64,28 +64,6 @@ inline double lambda_for_rho(std::size_t n, double rho, double mu = 1.0) {
   return 2.0 * rho * mu / (static_cast<double>(n) - 1.0);
 }
 
-// Where time_ns() folds every kernel result, so the optimizer cannot
-// elide the kernel.
-inline volatile double timing_sink = 0.0;
-
-// ns/op of fn over `reps` timed calls, after one untimed warm-up call.
-// Wall-clock, so not deterministic: a bench evaluating through it runs a
-// local backend, never a registered one.
-inline double time_ns(std::size_t reps, const std::function<double()>& fn) {
-  timing_sink = timing_sink + fn();
-  const auto t0 = std::chrono::steady_clock::now();
-  double acc = 0.0;
-  for (std::size_t r = 0; r < reps; ++r) {
-    acc += fn();
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  timing_sink = timing_sink + acc;
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                 .count()) /
-         static_cast<double>(reps);
-}
-
 using BuildCellsFn =
     std::function<std::vector<Scenario>(const ExperimentOptions&)>;
 
@@ -94,11 +72,10 @@ using BuildCellsFn =
 // tables from several grids call run() once per grid in a fixed order.
 class Bench {
  public:
-  Bench(int argc, char** argv, const BenchSpec& spec,
-        std::size_t default_threads = 0)
+  Bench(int argc, char** argv, const BenchSpec& spec)
       : opts_(ExperimentOptions::parse(argc, argv, spec.default_samples,
                                        spec.default_nmax)),
-        runner_(opts_, default_threads) {
+        runner_(opts_) {
     print_banner(spec.tag, spec.title);
   }
 
@@ -137,13 +114,11 @@ struct SweepOutcome {
 
 // Parse + banner + expand + run.  The plan function makes the cells
 // cluster-capable (--workers/--connect/--fleet evaluate the same
-// registered backends remotely); default_threads is forwarded to
-// SweepRunner for benches whose cells spawn their own threads.
+// registered backends remotely).
 inline SweepOutcome run_sweep(int argc, char** argv, const BenchSpec& spec,
                               const BuildCellsFn& build_cells,
-                              const PlanFn& plan_fn,
-                              std::size_t default_threads = 0) {
-  Bench bench(argc, argv, spec, default_threads);
+                              const PlanFn& plan_fn) {
+  Bench bench(argc, argv, spec);
   SweepOutcome out{bench.opts(), build_cells(bench.opts()), std::nullopt};
   out.results = bench.run(out.cells, plan_fn);
   return out;
@@ -152,12 +127,9 @@ inline SweepOutcome run_sweep(int argc, char** argv, const BenchSpec& spec,
 // The common one-plan-for-every-cell case.
 inline SweepOutcome run_sweep(int argc, char** argv, const BenchSpec& spec,
                               const BuildCellsFn& build_cells,
-                              const EvalPlan& plan,
-                              std::size_t default_threads = 0) {
-  return run_sweep(
-      argc, argv, spec, build_cells,
-      [&plan](const Scenario&, std::size_t) { return plan; },
-      default_threads);
+                              const EvalPlan& plan) {
+  return run_sweep(argc, argv, spec, build_cells,
+                   [&plan](const Scenario&, std::size_t) { return plan; });
 }
 
 }  // namespace bench

@@ -400,18 +400,9 @@ std::optional<std::vector<ResultSet>> SweepRunner::run(
 
 std::optional<std::vector<ResultSet>> SweepRunner::run(
     const std::vector<Scenario>& cells, const EvalBackend& backend) {
-  // Registered backends go through a plan, so the sweep is
-  // cluster-capable.  A custom EvalBackend implementation outside the
-  // registry keeps the direct local call (remote daemons could not look
-  // it up by name) - such a sweep is local-only, like any CellFn.
-  if (find_backend(backend.name()) == &backend) {
-    const std::string name = backend.name();
-    return run(cells, PlanFn([name](const Scenario&, std::size_t) {
-                 return EvalPlan{{EvalStep{name, ""}}};
-               }));
-  }
-  return run(cells, CellFn([&backend](const Scenario& s, std::size_t) {
-               return backend.evaluate(s);
+  return run(cells, PlanFn([plan = plan_for(backend)](const Scenario&,
+                                                      std::size_t) {
+               return plan;
              }));
 }
 

@@ -206,7 +206,10 @@ class SweepRunner {
   // identical results.
   std::optional<std::vector<ResultSet>> run(
       const std::vector<Scenario>& cells, const PlanFn& plan_fn);
-  // Shorthand for the one-step plan "evaluate on this backend".
+  // Shorthand for the one-step plan "evaluate on this backend".  The plan
+  // names the backend, so it must be registered (find_backend): an
+  // unregistered backend fails every cell with "eval plan: unknown
+  // backend" and the sweep exits 1.
   std::optional<std::vector<ResultSet>> run(
       const std::vector<Scenario>& cells, const EvalBackend& backend);
 

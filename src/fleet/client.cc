@@ -136,7 +136,7 @@ GrantResponse RegistryClient::resolve(const ResolveRequest& req) {
 FleetMembership::FleetMembership(MembershipOptions options)
     : options_(options),
       client_(RegistryClientOptions{options.registry, options.auth_key,
-                                    /*connect_retries=*/10, options.quiet}) {}
+                                    /*connect_retries=*/10}) {}
 
 FleetMembership::~FleetMembership() { stop(); }
 

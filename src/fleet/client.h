@@ -31,7 +31,6 @@ struct RegistryClientOptions {
   net::Endpoint registry;
   std::string auth_key;     // empty = unauthenticated
   int connect_retries = 10;  // 200 ms apart, riding out a starting registry
-  bool quiet = true;
 };
 
 class RegistryClient {

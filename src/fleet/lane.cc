@@ -88,8 +88,7 @@ struct FleetLane::FleetWorker final : LaneWorker {
 FleetLane::FleetLane(FleetLaneOptions options)
     : options_(std::move(options)),
       client_(RegistryClientOptions{options_.registry, options_.auth_key,
-                                    options_.connect_retries,
-                                    options_.quiet}) {
+                                    options_.connect_retries}) {
   coordinator_id_ = options_.coordinator_id != 0
                         ? options_.coordinator_id
                         : static_cast<std::uint64_t>(::getpid());

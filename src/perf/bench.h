@@ -25,8 +25,8 @@
 // time from the start barrier to the last finisher, so ns/op measures
 // *concurrent* per-op latency - flat scaling keeps it constant, contention
 // shows up as growth.  The registry is the names --kernels= selects from;
-// layers group kernels for reporting ("numerics", "markov", "des",
-// "core", "wire").
+// layers group kernels for reporting ("numerics", "markov", "core",
+// "des", "trace", "runtime", "wire", "fleet").
 #pragma once
 
 #include <cstddef>

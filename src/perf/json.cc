@@ -244,12 +244,16 @@ void dump_value(const Json& j, std::string& out, int indent, int depth) {
   }
 }
 
+// Containers nest at most this deep.  A BENCH report nests 3 deep; the
+// cap keeps the recursive descent's stack bounded on hostile input.
+constexpr std::size_t kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
 
   Json parse_document() {
-    Json v = parse_value();
+    Json v = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) {
       fail("trailing garbage after document");
@@ -293,14 +297,17 @@ class Parser {
     return false;
   }
 
-  Json parse_value() {
+  Json parse_value(std::size_t depth) {
     skip_ws();
     const char c = peek();
+    if ((c == '{' || c == '[') && depth >= kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth));
+    }
     if (c == '{') {
-      return parse_object();
+      return parse_object(depth + 1);
     }
     if (c == '[') {
-      return parse_array();
+      return parse_array(depth + 1);
     }
     if (c == '"') {
       return Json::string(parse_string());
@@ -317,15 +324,46 @@ class Parser {
     return parse_number();
   }
 
+  // JSON's number grammar, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?,
+  // with a finite value: strtod alone would also take NaN, Infinity, hex,
+  // a leading '+' or '.', and leading zeros.
   Json parse_number() {
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) {
+    const std::size_t start = pos_;
+    try_consume("-");
+    if (try_consume("0")) {
+      if (skip_digits() > 0) {
+        fail("leading zero in number");
+      }
+    } else if (skip_digits() == 0) {
       fail("invalid value");
     }
-    pos_ += static_cast<std::size_t>(end - start);
+    if (try_consume(".") && skip_digits() == 0) {
+      fail("expected a digit after '.'");
+    }
+    if (try_consume("e") || try_consume("E")) {
+      if (!try_consume("+")) {
+        try_consume("-");
+      }
+      if (skip_digits() == 0) {
+        fail("expected a digit in exponent");
+      }
+    }
+    const double v =
+        std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
+    if (!std::isfinite(v)) {
+      pos_ = start;
+      fail("number out of range");
+    }
     return Json::number(v);
+  }
+
+  // Skips a run of decimal digits; returns its length.
+  std::size_t skip_digits() {
+    const std::size_t first = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      ++pos_;
+    }
+    return pos_ - first;
   }
 
   std::string parse_string() {
@@ -406,7 +444,7 @@ class Parser {
     }
   }
 
-  Json parse_array() {
+  Json parse_array(std::size_t depth) {
     expect('[');
     Json out = Json::array();
     skip_ws();
@@ -415,7 +453,7 @@ class Parser {
       return out;
     }
     for (;;) {
-      out.push_back(parse_value());
+      out.push_back(parse_value(depth));
       skip_ws();
       const char c = peek();
       if (c == ',') {
@@ -430,7 +468,7 @@ class Parser {
     }
   }
 
-  Json parse_object() {
+  Json parse_object(std::size_t depth) {
     expect('{');
     Json out = Json::object();
     skip_ws();
@@ -443,7 +481,7 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      out.set(key, parse_value());
+      out.set(key, parse_value(depth));
       skip_ws();
       const char c = peek();
       if (c == ',') {

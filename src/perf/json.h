@@ -7,7 +7,9 @@
 // serializer.  It covers exactly what the bench schema needs: objects with
 // ordered keys, arrays, strings, doubles and booleans.  Numbers round-trip
 // doubles exactly (shortest form via %.17g on the way out, strtod on the
-// way in).  Parse errors throw json::Error with a byte offset.
+// way in).  The parser accepts only JSON's number grammar with a finite
+// value, and containers nested at most 256 deep.  Parse errors throw
+// json::Error with a byte offset.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +22,8 @@ namespace rbx {
 namespace perf {
 
 namespace json {
-// Malformed JSON text (truncated input, bad escape, trailing garbage).
+// Malformed JSON text (truncated input, bad escape, trailing garbage, a
+// number outside JSON's grammar or range, nesting past the depth cap).
 class Error : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

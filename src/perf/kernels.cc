@@ -3,13 +3,20 @@
 //
 //   numerics  sparse builder freeze, CSR SpMV (both directions), dense LU
 //             factor+solve, RK4 transient integration
-//   markov    uniformization transient, first-passage moment solves
+//   markov    uniformization transient, first-passage moment solves, and
+//             the n=7 asynchronous-RB chain: full and lumped builds, the
+//             interval density and the expected-visits solve
 //   core      one full analytic cell evaluation (async and sync schemes)
 //             and one hybrid PRP+sync cell through the registered
 //             "hybrid" backend - the units every sweep, shard and
 //             cluster run multiplies
 //   des       the three simulators' inner event loops, plus the exact
 //             pairwise recovery-line observer behind ABL-LINE
+//   trace     the exact recovery-line fixpoint and the rollback analysis
+//             over a recorded 2000-event history of 6 processes
+//   runtime   the recovery-block substrate: mailbox push/pop and filter,
+//             state serialization, checkpoint save+purge, and one
+//             recovery-block execution
 //   wire      encode/decode of Scenario and ResultSet, seal/parse of a
 //             plan-carrying CellBatch frame - the bytes every worker
 //             round-trip moves
@@ -42,11 +49,20 @@
 #include "fleet/registry.h"
 #include "markov/ctmc.h"
 #include "model/async_model.h"
+#include "model/async_symmetric.h"
 #include "numerics/lu.h"
 #include "numerics/matrix.h"
 #include "numerics/sparse.h"
 #include "perf/bench.h"
+#include "runtime/channel.h"
+#include "runtime/checkpoint.h"
+#include "runtime/recovery_block.h"
+#include "runtime/serializable.h"
+#include "support/rng.h"
 #include "support/wire.h"
+#include "trace/history.h"
+#include "trace/recovery_line.h"
+#include "trace/rollback.h"
 
 namespace rbx {
 namespace perf {
@@ -194,6 +210,38 @@ CellBatch wire_cell_batch() {
   return batch;
 }
 
+// A synthetic interaction/recovery-point history of n processes: 2000
+// events at unit rate, each a recovery point of one process or an
+// interaction between two distinct ones with equal odds.
+History synthetic_history(std::size_t n) {
+  Rng rng(0x5eed);
+  History h(n);
+  double t = 0.0;
+  for (int e = 0; e < 2000; ++e) {
+    t += rng.exponential(1.0);
+    if (rng.bernoulli(0.5)) {
+      h.add_recovery_point(rng.uniform_index(n), t);
+    } else {
+      const ProcessId a = rng.uniform_index(n);
+      ProcessId b = rng.uniform_index(n - 1);
+      if (b >= a) {
+        ++b;
+      }
+      h.add_interaction(a, b, t);
+    }
+  }
+  return h;
+}
+
+// The runtime's synthetic workload state after 100 work steps.
+WorkState stepped_work_state() {
+  WorkState ws;
+  for (int i = 0; i < 100; ++i) {
+    ws.step(1);
+  }
+  return ws;
+}
+
 }  // namespace
 
 void register_default_kernels(KernelRegistry& registry) {
@@ -279,6 +327,40 @@ void register_default_kernels(KernelRegistry& registry) {
                   return [chain, alpha]() -> double {
                     const FirstPassage fp(chain, {0});
                     return fp.mean_hitting_time(alpha);
+                  };
+                }});
+
+  registry.add({"markov_lumped_chain_n7", "markov", [] {
+                  // The symmetric lumping of the n=7 chain (n + 1 states)
+                  // and its E[X] solve; rho is held at 0.05 so E[X] stays
+                  // well-conditioned.
+                  const double lambda = 2.0 * 0.05 / (7.0 - 1.0);
+                  return [lambda]() -> double {
+                    SymmetricAsyncModel model(7, 1.0, lambda);
+                    return model.mean_interval();
+                  };
+                }});
+
+  registry.add({"markov_interval_pdf_n7", "markov", [] {
+                  // The phase-type density f_X(t) of the n=7 chain (the
+                  // evaluation behind Figure 6), stepping t across (0, 2]
+                  // so consecutive reps ask for different points.
+                  auto model = std::make_shared<AsyncRbModel>(
+                      ProcessSetParams::symmetric(7, 1.0, 1.0));
+                  return [model, t = 0.1]() mutable -> double {
+                    const double v = model->interval_pdf(t);
+                    t = t < 2.0 ? t + 0.1 : 0.1;
+                    return v;
+                  };
+                }});
+
+  registry.add({"markov_expected_visits_n7", "markov", [] {
+                  // E[L_0], the expected recovery points of process 0 per
+                  // interval (Table 1), by the split-chain visits solve.
+                  auto model = std::make_shared<AsyncRbModel>(
+                      ProcessSetParams::symmetric(7, 1.0, 1.0));
+                  return [model]() -> double {
+                    return model->expected_rp_count_split_chain(0);
                   };
                 }});
 
@@ -538,6 +620,97 @@ void register_default_kernels(KernelRegistry& registry) {
                       merged.merge((*parts)[k]);
                     }
                     return merged.interval.mean();
+                  };
+                }});
+
+  // --- trace ------------------------------------------------------------
+  registry.add({"trace_line_fixpoint_n6", "trace", [] {
+                  auto h = std::make_shared<const History>(
+                      synthetic_history(6));
+                  return [h]() -> double {
+                    return RecoveryLineFinder(*h).latest_line().max_time();
+                  };
+                }});
+
+  registry.add({"trace_rollback_n6", "trace", [] {
+                  // A failure of process 0 just after the last event.
+                  auto h = std::make_shared<const History>(
+                      synthetic_history(6));
+                  return [h]() -> double {
+                    return RollbackAnalyzer(*h)
+                        .analyze_failure(0, h->last_time() + 1.0)
+                        .rollback_distance;
+                  };
+                }});
+
+  // --- runtime ----------------------------------------------------------
+  registry.add({"runtime_mailbox_push_pop", "runtime", [] {
+                  auto box = std::make_shared<Mailbox>();
+                  Message m;
+                  m.type = MessageType::kApp;
+                  m.seq = 1;
+                  return [box, m]() -> double {
+                    box->push(m);
+                    return box->try_pop() ? 1.0 : 0.0;
+                  };
+                }});
+
+  registry.add({"runtime_mailbox_filter", "runtime", [] {
+                  // Recovery's inbox purge: fill a fresh mailbox with 1024
+                  // messages and drop the later half.
+                  return []() -> double {
+                    constexpr std::size_t kCount = 1024;
+                    Mailbox box;
+                    for (std::size_t i = 0; i < kCount; ++i) {
+                      Message m;
+                      m.type = MessageType::kApp;
+                      m.send_ticket = i;
+                      box.push(m);
+                    }
+                    return static_cast<double>(
+                        box.filter([](const Message& m) {
+                          return m.send_ticket > kCount / 2;
+                        }));
+                  };
+                }});
+
+  registry.add({"runtime_state_serialize", "runtime", [] {
+                  const WorkState ws = stepped_work_state();
+                  return [ws]() -> double {
+                    return static_cast<double>(ws.serialize().size());
+                  };
+                }});
+
+  registry.add({"runtime_checkpoint_purge", "runtime", [] {
+                  // 16 snapshots into a fresh store, every fourth a
+                  // recovery point and the rest PRPs, then the paper's
+                  // purge rule.
+                  const WorkState ws = stepped_work_state();
+                  return [ws, ticket = std::uint64_t{0}]() mutable -> double {
+                    CheckpointStore store(0);
+                    for (int i = 0; i < 16; ++i) {
+                      Snapshot s;
+                      s.kind = i % 4 == 0 ? SnapshotKind::kRecoveryPoint
+                                          : SnapshotKind::kPseudoRecoveryPoint;
+                      s.rp_owner = static_cast<ProcessId>(i % 4);
+                      s.rp_seq = static_cast<std::uint64_t>(i);
+                      s.ticket = ++ticket;
+                      s.state = ws.serialize();
+                      store.save(std::move(s));
+                    }
+                    return static_cast<double>(store.purge());
+                  };
+                }});
+
+  registry.add({"runtime_recovery_block", "runtime", [] {
+                  // The primary alternative passes its acceptance test:
+                  // state saving on entry, one work step, accept.
+                  RecoveryBlock rb([](const Serializable&) { return true; });
+                  rb.add_alternative([](Serializable& s) {
+                    static_cast<WorkState&>(s).step(7);
+                  });
+                  return [rb, ws = stepped_work_state()]() mutable -> double {
+                    return rb.execute(ws) ? 1.0 : 0.0;
                   };
                 }});
 

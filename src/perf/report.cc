@@ -1,6 +1,7 @@
 #include "perf/report.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -28,16 +29,40 @@ Json kernel_to_json(const KernelStats& k) {
   return j;
 }
 
+// A timing the compare gate divides by: finite and > 0.  A zero, negative
+// or NaN baseline median would let any slowdown pass.
+double time_at(const Json& j, const std::string& key,
+               const std::string& where) {
+  const double v = j.number_at(key);
+  if (!(std::isfinite(v) && v > 0.0)) {
+    throw json::Error("bench report: " + where + ": '" + key +
+                      "' is not a finite time > 0");
+  }
+  return v;
+}
+
+// A count: an integer in [0, 2^53], where doubles are still exact.
+std::uint64_t count_at(const Json& j, const std::string& key,
+                       const std::string& where) {
+  const double v = j.number_at(key);
+  if (!(v >= 0.0 && v <= 9007199254740992.0 && v == std::floor(v))) {
+    throw json::Error("bench report: " + where + ": '" + key +
+                      "' is not an integer count in [0, 2^53]");
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 KernelStats kernel_from_json(const Json& j) {
   KernelStats k;
   k.name = j.string_at("name");
   k.layer = j.string_at("layer");
-  k.ns_median = j.number_at("ns_median");
-  k.ns_p10 = j.number_at("ns_p10");
-  k.ns_p90 = j.number_at("ns_p90");
-  k.reps = static_cast<std::uint64_t>(j.number_at("reps"));
-  k.intervals = static_cast<std::size_t>(j.number_at("intervals"));
-  k.threads = static_cast<std::size_t>(j.number_at("threads"));
+  const std::string where = "kernel '" + k.name + "'";
+  k.ns_median = time_at(j, "ns_median", where);
+  k.ns_p10 = time_at(j, "ns_p10", where);
+  k.ns_p90 = time_at(j, "ns_p90", where);
+  k.reps = count_at(j, "reps", where);
+  k.intervals = count_at(j, "intervals", where);
+  k.threads = count_at(j, "threads", where);
   return k;
 }
 
@@ -57,12 +82,11 @@ Json sweep_to_json(const SweepRecord& s) {
 SweepRecord sweep_from_json(const Json& j) {
   SweepRecord s;
   s.source = j.string_at("source");
-  s.sweep = static_cast<std::uint64_t>(j.number_at("sweep"));
-  s.committed_cells =
-      static_cast<std::uint64_t>(j.number_at("committed_cells"));
-  s.evaluated_cells =
-      static_cast<std::uint64_t>(j.number_at("evaluated_cells"));
-  s.wall_ms = static_cast<std::uint64_t>(j.number_at("wall_ms"));
+  const std::string where = "sweep record of '" + s.source + "'";
+  s.sweep = count_at(j, "sweep", where);
+  s.committed_cells = count_at(j, "committed_cells", where);
+  s.evaluated_cells = count_at(j, "evaluated_cells", where);
+  s.wall_ms = count_at(j, "wall_ms", where);
   s.cells_per_sec = j.number_at("cells_per_sec");
   return s;
 }
@@ -117,7 +141,7 @@ BenchReport BenchReport::from_json(const std::string& text) {
   r.label = j.string_at("label");
   r.timestamp = j.string_at("timestamp");
   r.build_flags = j.string_at("build_flags");
-  r.threads = static_cast<std::size_t>(j.number_at("threads"));
+  r.threads = count_at(j, "threads", "report");
   const Json* ks = j.find("kernels");
   if (ks == nullptr || !ks->is_array()) {
     throw json::Error("bench report: missing 'kernels' array");
@@ -184,11 +208,14 @@ void import_journal(BenchReport* report, const std::string& journal_path,
     if (rec.evaluated_cells > 0) {
       // Per-evaluated-cell wall time as a synthetic kernel, so
       // compare_reports() tracks sweep throughput like any other kernel.
+      // A sweep under 1 ms counts as 1 ms, as in SweepRunner's cells/s:
+      // a 0 median would not load back.
       KernelStats k;
       k.name = "journal:" + name + ":sweep" + std::to_string(i);
       k.layer = "sweep";
-      k.ns_median = static_cast<double>(rec.wall_ms) * 1e6 /
-                    static_cast<double>(rec.evaluated_cells);
+      k.ns_median =
+          static_cast<double>(std::max<std::uint64_t>(rec.wall_ms, 1)) *
+          1e6 / static_cast<double>(rec.evaluated_cells);
       k.ns_p10 = k.ns_median;
       k.ns_p90 = k.ns_median;
       k.reps = rec.evaluated_cells;

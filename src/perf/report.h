@@ -56,7 +56,10 @@ struct BenchReport {
   std::vector<SweepRecord> sweeps;
 
   std::string to_json() const;
-  // Throws json::Error on malformed or wrong-schema input.
+  // Throws json::Error on malformed or wrong-schema input, a kernel time
+  // (ns_median, ns_p10, ns_p90) that is not finite and > 0, or a count
+  // (reps, intervals, threads, the sweep records' counts) that is not an
+  // integer in [0, 2^53].
   static BenchReport from_json(const std::string& text);
 
   void save(const std::string& path) const;

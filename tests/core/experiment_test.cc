@@ -247,6 +247,22 @@ TEST(ExperimentOptions, ThreadLaneOnlyWhenNamedAlongsideWorkerLanes) {
   }
 }
 
+TEST(SweepRunnerTest, UnregisteredBackendFailsEveryCell) {
+  // run(cells, backend) ships the backend by name as a one-step plan, so
+  // a backend outside the registry cannot evaluate anywhere: every cell
+  // fails with the plan's lookup error and the sweep exits 1.
+  class LocalBackend final : public EvalBackend {
+   public:
+    std::string name() const override { return "local-only"; }
+    ResultSet evaluate(const Scenario&) const override { return {}; }
+  };
+  const auto opts = parse_args({"--threads=1"});
+  const std::vector<Scenario> cells(2, Scenario::symmetric(2, 1.0, 1.0));
+  EXPECT_EXIT(SweepRunner(opts).run(cells, LocalBackend()),
+              testing::ExitedWithCode(1),
+              "cell 1 failed: eval plan: unknown backend 'local-only'");
+}
+
 TEST(ExperimentOptions, StealComposesWithWorkersAlone) {
   // --steal was once --connect-only; any worker lane now qualifies.
   const auto opts = parse_args({"--workers=2", "--steal"});

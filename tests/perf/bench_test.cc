@@ -1,9 +1,11 @@
-// The micro harness itself: the default registry spans every layer, stats
-// are ordered (p10 <= median <= p90), pinned reps are honored, and the
-// threaded path produces per-thread closures.
+// The micro harness itself: the default registry spans every layer and
+// every kernel in it runs, stats are ordered (p10 <= median <= p90),
+// pinned reps are honored, and the threaded path produces per-thread
+// closures.
 #include "perf/bench.h"
 
 #include <atomic>
+#include <cmath>
 #include <set>
 #include <string>
 
@@ -31,15 +33,34 @@ TEST(BenchTest, DefaultRegistrySpansLayers) {
     layers.insert(k.layer);
     EXPECT_TRUE(names.insert(k.name).second) << "duplicate " << k.name;
   }
-  // The trajectory must cover numerics, the simulators and the wire path
-  // at minimum (ISSUE acceptance: kernels across numerics/DES/wire).
-  EXPECT_TRUE(layers.count("numerics"));
-  EXPECT_TRUE(layers.count("des"));
-  EXPECT_TRUE(layers.count("wire"));
-  EXPECT_TRUE(layers.count("fleet"));
+  // One harness times every layer of the stack.
+  for (const char* layer : {"numerics", "markov", "core", "des", "trace",
+                            "runtime", "wire", "fleet"}) {
+    EXPECT_TRUE(layers.count(layer)) << layer;
+  }
   EXPECT_NE(registry.find("sparse_spmv_left"), nullptr);
   EXPECT_NE(registry.find("fleet_resolve_fair_share"), nullptr);
+  EXPECT_NE(registry.find("markov_expected_visits_n7"), nullptr);
+  EXPECT_NE(registry.find("runtime_recovery_block"), nullptr);
+  EXPECT_NE(registry.find("trace_rollback_n6"), nullptr);
   EXPECT_EQ(registry.find("no_such_kernel"), nullptr);
+}
+
+TEST(BenchTest, EveryDefaultKernelRuns) {
+  // One rep of one interval, no warm-up: each kernel's setup and closure
+  // run, and each reports a finite time.
+  KernelRegistry registry;
+  register_default_kernels(registry);
+  BenchOptions once;
+  once.reps = 1;
+  once.intervals = 1;
+  once.warmup_intervals = 0;
+  for (const Kernel& k : registry.kernels()) {
+    const KernelStats s = run_kernel(k, once);
+    EXPECT_TRUE(std::isfinite(s.ns_median)) << k.name;
+    EXPECT_GT(s.ns_median, 0.0) << k.name;
+    EXPECT_EQ(s.reps, 1u) << k.name;
+  }
 }
 
 TEST(BenchTest, RunKernelProducesOrderedStats) {

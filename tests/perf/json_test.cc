@@ -96,6 +96,40 @@ TEST(JsonTest, StrictParseRejects) {
   EXPECT_THROW(Json::parse("'single'"), json::Error);
 }
 
+TEST(JsonTest, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  // The recursive descent once took one stack frame per '[' and died with
+  // SIGSEGV on this input.
+  EXPECT_THROW(Json::parse(std::string(100000, '[')), json::Error);
+  EXPECT_THROW(Json::parse(std::string(100000, '[') +
+                           std::string(100000, ']')),
+               json::Error);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) {
+    objects += "{\"k\":";
+  }
+  EXPECT_THROW(Json::parse(objects), json::Error);
+  // A modest depth still parses.
+  const Json nested =
+      Json::parse(std::string(100, '[') + std::string(100, ']'));
+  EXPECT_TRUE(nested.is_array());
+}
+
+TEST(JsonTest, OnlyJsonNumbersParse) {
+  // strtod alone would read each of these as a number.
+  for (const char* text :
+       {"NaN", "Infinity", "-inf", "0x10", "+1", ".5", "01", "1e400", "-",
+        "1.", "1e", "-01", "[NaN]", "{\"ns_median\": NaN}", "[1e400]"}) {
+    EXPECT_THROW(Json::parse(text), json::Error) << text;
+  }
+  const double minus_zero = Json::parse("-0").as_number();
+  EXPECT_EQ(minus_zero, 0.0);
+  EXPECT_TRUE(std::signbit(minus_zero));
+  EXPECT_EQ(Json::parse("0.5e3").as_number(), 500.0);
+  EXPECT_EQ(Json::parse("1E+2").as_number(), 100.0);
+  EXPECT_EQ(Json::parse("1e-400").as_number(), 0.0);  // underflow is finite
+  EXPECT_EQ(Json::parse("[0,-1.25e-3]").items()[1].as_number(), -1.25e-3);
+}
+
 TEST(JsonTest, TypedAccessorsThrowOnMismatch) {
   const Json n = Json::number(1);
   EXPECT_THROW(n.as_string(), json::Error);

@@ -3,6 +3,7 @@
 // the kernels that slowed past the threshold.
 #include "perf/report.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -68,6 +69,74 @@ TEST(BenchReportTest, WrongSchemaRejected) {
   EXPECT_THROW(BenchReport::from_json("not json"), json::Error);
 }
 
+// `text` with the value of its first "key": field replaced by `value`.
+std::string with_field(std::string text, const std::string& key,
+                       const std::string& value) {
+  const std::string tag = "\"" + key + "\": ";
+  const std::size_t at = text.find(tag);
+  EXPECT_NE(at, std::string::npos) << key;
+  const std::size_t begin = at + tag.size();
+  const std::size_t end = text.find_first_of(",\n", begin);
+  return text.replace(begin, end - begin, value);
+}
+
+std::string one_kernel_report() {
+  BenchReport r;
+  r.label = "base";
+  r.kernels.push_back(stats("k", 100.0));
+  SweepRecord sweep;
+  sweep.source = "fig5.rbxj";
+  sweep.committed_cells = 4;
+  sweep.evaluated_cells = 4;
+  sweep.wall_ms = 20;
+  sweep.cells_per_sec = 200.0;
+  r.sweeps.push_back(sweep);
+  return r.to_json();
+}
+
+TEST(BenchReportTest, TimesThatWouldDisableTheGateAreRefused) {
+  // compare_reports divides by the old median; a baseline of 0, -1 or
+  // NaN used to load and let a 100x slowdown through the gate.
+  const std::string base = one_kernel_report();
+  ASSERT_NO_THROW(BenchReport::from_json(base));
+  for (const char* key : {"ns_median", "ns_p10", "ns_p90"}) {
+    for (const char* value : {"0", "-0", "-1", "NaN", "null", "1e400"}) {
+      EXPECT_THROW(BenchReport::from_json(with_field(base, key, value)),
+                   json::Error)
+          << key << " = " << value;
+    }
+  }
+}
+
+TEST(BenchReportTest, CountsMustBeIntegersUpTo2To53) {
+  const std::string base = one_kernel_report();
+  for (const char* key : {"reps", "intervals", "committed_cells",
+                          "evaluated_cells", "wall_ms", "sweep"}) {
+    for (const char* value : {"-1", "1.5", "9007199254740994"}) {
+      EXPECT_THROW(BenchReport::from_json(with_field(base, key, value)),
+                   json::Error)
+          << key << " = " << value;
+    }
+  }
+  // "threads" comes first at the report level, then in the kernel.
+  EXPECT_THROW(BenchReport::from_json(with_field(base, "threads", "-1")),
+               json::Error);
+  const std::string kernel_threads =
+      base.substr(0, base.find("\"kernels\"")) +
+      with_field(base.substr(base.find("\"kernels\"")), "threads", "-1");
+  EXPECT_THROW(BenchReport::from_json(kernel_threads), json::Error);
+  // Both ends of the range load.
+  EXPECT_EQ(BenchReport::from_json(with_field(base, "reps", "0"))
+                .kernels[0]
+                .reps,
+            0u);
+  EXPECT_EQ(
+      BenchReport::from_json(with_field(base, "reps", "9007199254740992"))
+          .kernels[0]
+          .reps,
+      std::uint64_t{1} << 53);
+}
+
 TEST(BenchReportTest, SaveLoad) {
   const std::string path = testing::TempDir() + "bench_report_test.json";
   BenchReport r;
@@ -118,6 +187,38 @@ TEST(BenchReportTest, ImportJournalSweepEnds) {
   EXPECT_EQ(r.kernels[0].name, "journal:trial:sweep0");
   EXPECT_EQ(r.kernels[0].layer, "sweep");
   EXPECT_EQ(r.kernels[0].ns_median, 20.0 * 1e6 / 4.0);
+  std::remove(path.c_str());
+}
+
+TEST(BenchReportTest, ImportedSubMillisecondSweepTimesAsOneMillisecond) {
+  // A journal records wall_ms = 0 for a sweep under 1 ms; the synthetic
+  // kernel must still carry a median the report can load back.
+  const std::string path = testing::TempDir() + "bench_import_fast.rbxj";
+  std::remove(path.c_str());
+  {
+    recov::JournalWriter::Options jopts;
+    jopts.truncate = true;
+    recov::JournalWriter w(path, jopts);
+    w.sweep_begin(0, 0xabc, 4, "fast sweep");
+    ResultSet cell("analytic", "cell");
+    cell.set("m", 1.0);
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      w.cell_committed(0, i, cell);
+    }
+    recov::SweepEndStats stats;
+    stats.committed_cells = 4;
+    stats.evaluated_cells = 4;
+    stats.wall_ms = 0;
+    stats.cells_per_sec = 4000.0;
+    w.sweep_end(0, stats);
+  }
+  BenchReport r;
+  import_journal(&r, path, "fast");
+  ASSERT_EQ(r.kernels.size(), 1u);
+  EXPECT_EQ(r.sweeps[0].wall_ms, 0u);  // the record stays as journaled
+  EXPECT_EQ(r.kernels[0].ns_median, 1e6 / 4.0);
+  const BenchReport back = BenchReport::from_json(r.to_json());
+  EXPECT_EQ(back.kernels[0].ns_median, 1e6 / 4.0);
   std::remove(path.c_str());
 }
 
