@@ -9,7 +9,9 @@
 //   core      one full analytic cell evaluation (async and sync schemes)
 //             and one hybrid PRP+sync cell through the registered
 //             "hybrid" backend - the units every sweep, shard and
-//             cluster run multiplies
+//             cluster run multiplies - and streamed Monte-Carlo cells
+//             (async, fig5's straggler, a long-history PRP cell) at
+//             thread budgets 4 and 1
 //   des       the three simulators' inner event loops, plus the exact
 //             pairwise recovery-line observer behind ABL-LINE
 //   trace     the exact recovery-line fixpoint and the rollback analysis
@@ -231,6 +233,17 @@ History synthetic_history(std::size_t n) {
     }
   }
   return h;
+}
+
+// mc_streams' large PRP cell (n=3, mu=lambda=1) at 5,000 failures.
+Scenario prp_cell() {
+  return Scenario::symmetric(3, 1.0, 1.0)
+      .scheme(SchemeKind::kPseudoRecoveryPoints)
+      .t_record(1e-4)
+      .error_rate(0.25)
+      .seed(0x5eed)
+      .samples(5000)
+      .streams(4);
 }
 
 // The runtime's synthetic workload state after 100 work steps.
@@ -599,6 +612,31 @@ void register_default_kernels(KernelRegistry& registry) {
                     EvalContextScope scope(EvalContext{1});
                     const ResultSet r = monte_carlo_backend().evaluate(s);
                     return r.value("mean_interval_x");
+                  };
+                },
+                /*threads=*/1});
+
+  // mc_streams' large PRP cell shape at 5,000 failures (n=3, streams=4):
+  // each stream's planner and analyzer query a History that grows to
+  // ~65k events, the one kernel pair whose histories run long.  Budget 4
+  // vs 1, bitwise the same ResultSet.  Pinned to one closure like
+  // mc_async_cell.
+  registry.add({"mc_prp_cell", "core", [] {
+                  const Scenario s = prp_cell();
+                  return [s]() -> double {
+                    EvalContextScope scope(EvalContext{4});
+                    const ResultSet r = monte_carlo_backend().evaluate(s);
+                    return r.value("prp_distance");
+                  };
+                },
+                /*threads=*/1});
+
+  registry.add({"mc_prp_cell_seq", "core", [] {
+                  const Scenario s = prp_cell();
+                  return [s]() -> double {
+                    EvalContextScope scope(EvalContext{1});
+                    const ResultSet r = monte_carlo_backend().evaluate(s);
+                    return r.value("prp_distance");
                   };
                 },
                 /*threads=*/1});

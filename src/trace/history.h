@@ -25,9 +25,9 @@ enum class EventKind {
 struct TraceEvent {
   EventKind kind = EventKind::kInteraction;
   double time = 0.0;
-  ProcessId process = 0;  // owner (RP/PRP) or first party (interaction)
-  // Interaction: the second party.  PRP: the process whose RP triggered the
-  // implantation.  RP: unused.
+  ProcessId process = 0;  // owner (RP/PRP) or lower party (interaction)
+  // Interaction: the higher party.  PRP: the process whose RP triggered the
+  // implantation.  RP: equal to `process`.
   ProcessId peer = 0;
   // RP: per-process recovery point sequence number (1-based).
   // PRP: the triggering RP's sequence number in `peer`.
@@ -64,12 +64,28 @@ class History {
                                  std::size_t owner_rp_seq);
   void add_interaction(ProcessId a, ProcessId b, double time);
 
-  const std::vector<TraceEvent>& events() const { return events_; }
+  // Every event as one time-ordered list.  The list is not stored: each
+  // call derives it from the per-process and per-pair indices below (the
+  // only copy of each event) and stable-sorts it by time, O(E log E) time
+  // and O(E) memory for E events - meant for export and tests, not hot
+  // paths.  Where event times are distinct this is the append order.  Events
+  // sharing a time come RPs first, then PRPs, then interactions; RPs and
+  // PRPs by process, interactions by pair, each in append order.  An
+  // interaction is listed with its lower process id as `process` and the
+  // higher one as `peer`, whichever order add_interaction received them in.
+  std::vector<TraceEvent> events() const;
   double last_time() const { return last_time_; }
 
   // Recovery points of process p, in time order.
   const std::vector<double>& rp_times(ProcessId p) const;
   std::size_t rp_count(ProcessId p) const;
+
+  // The three time queries below (and has_interaction_in) answer exactly
+  // what std::upper_bound/std::lower_bound over the whole time vector
+  // would, but gallop back from its newest entry (probes at distances 1, 2,
+  // 4, ... from the end) before bisecting the bracket found.  Callers ask
+  // about recent times, so a query costs O(log d) for an answer d entries
+  // from the end; one far back costs at most about twice a bisection.
 
   // The latest recovery point of p at or before `time` (with its 1-based
   // sequence number); nullopt when none exists.
@@ -99,7 +115,6 @@ class History {
   std::size_t pair_index(ProcessId a, ProcessId b) const;
 
   std::size_t n_;
-  std::vector<TraceEvent> events_;
   double last_time_ = 0.0;
   std::vector<std::vector<double>> rp_times_;            // per process
   std::vector<std::vector<double>> pair_interactions_;   // per unordered pair

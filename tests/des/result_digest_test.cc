@@ -208,16 +208,19 @@ TEST(ResultDigest, PrpOneStream) {
 }
 
 TEST(ResultDigest, PrpFourStreams) {
-  EXPECT_EQ(mc_digest(Scenario::symmetric(3, 1.0, 1.0)
-                          .scheme(SchemeKind::kPseudoRecoveryPoints)
-                          .t_record(1e-4)
-                          .error_rate(0.25)
-                          .prp_sync_period(2.0)
-                          .seed(81)
-                          .samples(3000)
-                          .streams(4),
-                      /*thread_budget=*/2),
-            0xc0069390f29c3b40ULL);
+  for (std::size_t budget : {1u, 2u, 4u}) {
+    EXPECT_EQ(mc_digest(Scenario::symmetric(3, 1.0, 1.0)
+                            .scheme(SchemeKind::kPseudoRecoveryPoints)
+                            .t_record(1e-4)
+                            .error_rate(0.25)
+                            .prp_sync_period(2.0)
+                            .seed(81)
+                            .samples(3000)
+                            .streams(4),
+                        budget),
+              0xc0069390f29c3b40ULL)
+        << "budget " << budget;
+  }
 }
 
 TEST(ResultDigest, ExactObserver) {

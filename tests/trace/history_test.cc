@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <utility>
+
+#include "support/rng.h"
+
 namespace rbx {
 namespace {
 
@@ -79,6 +85,155 @@ TEST(History, PrpLookup) {
 
   EXPECT_FALSE(h.prp_for(2, 0, 2).has_value());
   EXPECT_FALSE(h.prp_for(1, 0, 9).has_value());
+}
+
+// The queries gallop back from the newest entry; each must return what a
+// bisection of the whole vector returns.  Times are whole numbers with runs
+// of equal times (the PRP simulator's clamp writes such runs), and the
+// probes step by halves from before the first entry to after the last, so
+// every probe sits before, at, between or after entries.
+TEST(History, SearchesMatchBisectingTheWholeVector) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(0x6a110b);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Process 0's RPs and pair {0, 1} are filled; process 1 has no RP and
+    // pair {0, 2} no interaction, so empty vectors are probed too.
+    History h(3);
+    const std::size_t events = rng.uniform_index(200);
+    double t = 0.0;
+    for (std::size_t e = 0; e < events; ++e) {
+      if (rng.bernoulli(0.6)) {
+        t += 1.0;
+      }
+      if (rng.bernoulli(0.5)) {
+        h.add_recovery_point(0, t);
+      } else if (rng.bernoulli(0.5)) {
+        h.add_interaction(0, 1, t);
+      } else {
+        h.add_interaction(1, 0, t);
+      }
+    }
+    std::vector<double> probes = {-kInf, kInf};
+    for (double x = -1.0; x <= t + 1.0; x += 0.5) {
+      probes.push_back(x);
+    }
+
+    for (const ProcessId p : {ProcessId{0}, ProcessId{1}}) {
+      const std::vector<double>& v = h.rp_times(p);
+      for (const double x : probes) {
+        const auto upper = std::upper_bound(v.begin(), v.end(), x);
+        const auto at = h.latest_rp_at_or_before(p, x);
+        ASSERT_EQ(at.has_value(), upper != v.begin()) << "t=" << x;
+        if (at) {
+          EXPECT_EQ(at->time, *(upper - 1));
+          EXPECT_EQ(at->rp_seq, static_cast<std::size_t>(upper - v.begin()));
+          EXPECT_FALSE(at->is_initial);
+          EXPECT_FALSE(at->is_pseudo);
+        }
+        const auto lower = std::lower_bound(v.begin(), v.end(), x);
+        const auto before = h.latest_rp_before(p, x);
+        ASSERT_EQ(before.has_value(), lower != v.begin()) << "t=" << x;
+        if (before) {
+          EXPECT_EQ(before->time, *(lower - 1));
+          EXPECT_EQ(before->rp_seq,
+                    static_cast<std::size_t>(lower - v.begin()));
+        }
+      }
+    }
+
+    for (const ProcessId b : {ProcessId{1}, ProcessId{2}}) {
+      const std::vector<double>& v = h.interaction_times(0, b);
+      for (const double lo : probes) {
+        for (const double width : {0.0, 0.5, 1.0, 3.0, kInf}) {
+          const double hi = width == kInf ? kInf : lo + width;
+          const auto it = std::lower_bound(v.begin(), v.end(), lo);
+          const bool hit = it != v.end() && *it <= hi;
+          for (const auto& [x, y] : {std::pair{lo, hi}, std::pair{hi, lo}}) {
+            const auto first = h.first_interaction_in(b, 0, x, y);
+            ASSERT_EQ(first.has_value(), hit) << "[" << x << ", " << y << "]";
+            if (first) {
+              EXPECT_EQ(*first, *it);
+            }
+            EXPECT_EQ(h.has_interaction_in(0, b, x, y), hit);
+          }
+        }
+      }
+    }
+  }
+}
+
+// events() is derived from the indices: with distinct times it lists the
+// append order, each interaction as (lower, higher) party.
+TEST(History, EventsListTheAppendOrder) {
+  History h(3);
+  std::vector<TraceEvent> expected;
+  const auto rp = [&](ProcessId p, double t) {
+    h.add_recovery_point(p, t);
+    expected.push_back({EventKind::kRecoveryPoint, t, p, p, h.rp_count(p)});
+  };
+  const auto prp = [&](ProcessId p, double t, ProcessId owner,
+                       std::size_t seq) {
+    h.add_pseudo_recovery_point(p, t, owner, seq);
+    expected.push_back({EventKind::kPseudoRecoveryPoint, t, p, owner, seq});
+  };
+  const auto ix = [&](ProcessId a, ProcessId b, double t) {
+    h.add_interaction(a, b, t);
+    expected.push_back(
+        {EventKind::kInteraction, t, std::min(a, b), std::max(a, b), 0});
+  };
+  rp(1, 0.5);
+  ix(2, 0, 0.7);
+  prp(0, 0.8, 1, 1);
+  prp(2, 0.9, 1, 1);
+  ix(0, 1, 1.0);
+  rp(0, 1.5);
+  ix(2, 1, 1.6);
+  prp(1, 1.7, 0, 1);
+  prp(2, 1.8, 0, 1);
+  rp(2, 2.0);
+  ix(1, 0, 2.5);
+  rp(1, 3.0);
+  prp(0, 3.1, 1, 2);
+  ix(0, 2, 3.2);
+  rp(0, 4.0);
+
+  const std::vector<TraceEvent> events = h.events();
+  ASSERT_EQ(events.size(), expected.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].kind, expected[i].kind) << "event " << i;
+    EXPECT_EQ(events[i].time, expected[i].time) << "event " << i;
+    EXPECT_EQ(events[i].process, expected[i].process) << "event " << i;
+    EXPECT_EQ(events[i].peer, expected[i].peer) << "event " << i;
+    EXPECT_EQ(events[i].rp_seq, expected[i].rp_seq) << "event " << i;
+  }
+}
+
+// Events sharing a time: RPs, then PRPs, then interactions, each by
+// process or pair.
+TEST(History, EventsAtOneTimeListRpsThenPrpsThenInteractions) {
+  History h(3);
+  h.add_interaction(2, 1, 5.0);
+  h.add_interaction(1, 0, 5.0);
+  h.add_pseudo_recovery_point(2, 5.0, 0, 1);
+  h.add_pseudo_recovery_point(1, 5.0, 0, 1);
+  h.add_recovery_point(2, 5.0);
+  h.add_recovery_point(0, 5.0);
+
+  const std::vector<TraceEvent> events = h.events();
+  ASSERT_EQ(events.size(), 6u);
+  const std::vector<std::pair<EventKind, ProcessId>> order = {
+      {EventKind::kRecoveryPoint, 0},
+      {EventKind::kRecoveryPoint, 2},
+      {EventKind::kPseudoRecoveryPoint, 1},
+      {EventKind::kPseudoRecoveryPoint, 2},
+      {EventKind::kInteraction, 0},
+      {EventKind::kInteraction, 1}};
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(events[i].kind, order[i].first) << "event " << i;
+    EXPECT_EQ(events[i].process, order[i].second) << "event " << i;
+  }
+  EXPECT_EQ(events[4].peer, 1u);
+  EXPECT_EQ(events[5].peer, 2u);
 }
 
 TEST(History, RecoveryLineTimeSpan) {
