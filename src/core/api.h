@@ -158,8 +158,9 @@
 //              types, HybridExecutor + ThreadLane/ForkLane
 //              (core/dispatch.h, core/lane.h); the specialized backends
 //              (density, ablation, structure) live here too
-//   net/       TCP sockets, framed connections and the worker daemon
-//              (WorkerServer)
+//   net/       TCP sockets, framed connections, the session server both
+//              daemons run (SessionServer) and the worker daemon's batch
+//              handler (WorkerServer)
 //   fleet/     the shared-fleet subsystem: registry + membership
 //              (join/heartbeat/leave), fair-share leasing, pre-shared-key
 //              auth (HMAC-SHA256, signed leases), and FleetLane, the one

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "fleet/auth.h"
 
@@ -156,233 +158,82 @@ GrantResponse MemberTable::resolve(const ResolveRequest& req,
 
 namespace {
 
-bool send_error(net::FrameConn& conn, const std::string& message) {
-  wire::Writer w;
-  w.str(message);
-  return conn.send(kFrameError, w.data());
-}
+constexpr net::SessionNames kRegistryNames{"fleet_registryd", "registry",
+                                           "peer", "max_sessions"};
+
+// A registry session keeps no state of its own: membership lives in the
+// shared MemberTable and soft state ages out via heartbeats, so a peer
+// that closes needs no cleanup.
+class MembershipSession : public net::SessionHandler {
+ public:
+  MembershipSession(MemberTable& table, bool quiet)
+      : table_(table), quiet_(quiet) {}
+
+  net::Verdict serve(net::FrameConn& conn,
+                     const wire::Frame& frame) override {
+    if (frame.type == kFrameFleetJoin || frame.type == kFrameFleetHeartbeat) {
+      wire::Reader r(frame.payload);
+      const JoinInfo info = JoinInfo::decode(r);
+      r.expect_done();
+      table_.join(info, steady_now_ms());
+      if (frame.type == kFrameFleetJoin && !quiet_) {
+        std::fprintf(stderr, "fleet_registryd: member %s joined (weight %u)\n",
+                     info.endpoint().c_str(),
+                     static_cast<unsigned>(info.weight));
+      }
+      return answer(conn, kFrameFleetOk, {});
+    }
+    if (frame.type == kFrameFleetLeave) {
+      wire::Reader r(frame.payload);
+      const JoinInfo info = JoinInfo::decode(r);
+      r.expect_done();
+      table_.leave(info.endpoint());
+      if (!quiet_) {
+        std::fprintf(stderr, "fleet_registryd: member %s left\n",
+                     info.endpoint().c_str());
+      }
+      return answer(conn, kFrameFleetOk, {});
+    }
+    if (frame.type == kFrameFleetResolve) {
+      wire::Reader r(frame.payload);
+      const ResolveRequest req = ResolveRequest::decode(r);
+      r.expect_done();
+      const GrantResponse resp = table_.resolve(req, steady_now_ms());
+      if (!quiet_) {
+        std::fprintf(stderr,
+                     "fleet_registryd: granted %zu of %u live member(s) "
+                     "to coordinator %llu\n",
+                     resp.members.size(),
+                     static_cast<unsigned>(resp.live_members),
+                     static_cast<unsigned long long>(req.coordinator_id));
+      }
+      wire::Writer w;
+      resp.encode(w);
+      return answer(conn, kFrameFleetGrant, w.data());
+    }
+    return net::Verdict::kUnexpected;
+  }
+
+ private:
+  static net::Verdict answer(net::FrameConn& conn, std::uint16_t type,
+                             const std::vector<std::byte>& payload) {
+    return conn.send(type, payload) ? net::Verdict::kServed
+                                    : net::Verdict::kHangUp;
+  }
+
+  MemberTable& table_;
+  const bool quiet_;
+};
 
 }  // namespace
 
 RegistryServer::RegistryServer(const RegistryOptions& options)
-    : options_(options), listener_(options.port), table_(options.table) {}
-
-RegistryServer::~RegistryServer() {
-  stop();
-  reap_sessions(/*all=*/true);
-}
-
-void RegistryServer::stop() {
-  stopping_.store(true);
-  listener_.abort();
-  std::lock_guard<std::mutex> lock(sessions_mutex_);
-  for (auto& session : sessions_) {
-    session->conn.abort();
-  }
-}
-
-void RegistryServer::reap_sessions(bool all) {
-  std::vector<std::unique_ptr<Session>> taken;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-      if (all || (*it)->done.load()) {
-        taken.push_back(std::move(*it));
-        it = sessions_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (auto& session : taken) {
-    if (all) {
-      session->conn.abort();
-    }
-    if (session->thread.joinable()) {
-      session->thread.join();
-    }
-  }
-}
-
-bool RegistryServer::serve() {
-  for (;;) {
-    net::Socket client;
-    try {
-      client = listener_.accept_client();
-    } catch (const net::Error&) {
-      if (stopping_.load()) {
-        break;
-      }
-      reap_sessions(/*all=*/true);
-      throw;
-    }
-    if (stopping_.load()) {
-      break;
-    }
-    reap_sessions(/*all=*/false);
-    {
-      std::lock_guard<std::mutex> lock(sessions_mutex_);
-      std::size_t active = 0;
-      for (const auto& session : sessions_) {
-        if (!session->done.load()) {
-          ++active;
-        }
-      }
-      if (active >= options_.max_sessions) {
-        // Membership traffic is tiny; a full registry means something is
-        // leaking sessions.  Refuse loudly rather than backlogging.
-        net::FrameConn conn(std::move(client));
-        send_error(conn, "registry is serving " + std::to_string(active) +
-                             " sessions (max " +
-                             std::to_string(options_.max_sessions) + ")");
-        continue;
-      }
-    }
-    auto session = std::make_unique<Session>(std::move(client));
-    Session* raw = session.get();
-    {
-      std::lock_guard<std::mutex> lock(sessions_mutex_);
-      sessions_.push_back(std::move(session));
-    }
-    raw->thread = std::thread([this, raw]() {
-      serve_connection(raw->conn);
-      raw->conn.abort();
-      raw->done.store(true);
-    });
-  }
-  reap_sessions(/*all=*/true);
-  return true;
-}
-
-bool RegistryServer::serve_connection(net::FrameConn& conn) {
-  bool handshaken = false;
-  for (;;) {
-    wire::Frame frame;
-    bool got = false;
-    try {
-      got = conn.recv(&frame);
-    } catch (const wire::Error& e) {
-      send_error(conn,
-                 std::string("registry: corrupt request stream: ") + e.what());
-      return true;
-    }
-    if (!got) {
-      return true;  // peer closed; soft state ages out via heartbeats
-    }
-    try {
-      if (frame.type == net::kFrameHello) {
-        wire::Reader r(frame.payload);
-        const net::Hello hello = net::Hello::decode(r);
-        r.expect_done();
-        if (hello.protocol != net::kProtocolVersion) {
-          send_error(conn, "registry speaks cluster protocol " +
-                               std::to_string(net::kProtocolVersion) +
-                               ", peer sent " +
-                               std::to_string(hello.protocol));
-          return true;
-        }
-        if (hello.wire_version != wire::kVersion) {
-          send_error(conn, "registry encodes wire version " +
-                               std::to_string(wire::kVersion) + ", peer sent " +
-                               std::to_string(hello.wire_version));
-          return true;
-        }
-        if (!options_.table.auth_key.empty()) {
-          if ((hello.flags & kHelloFlagAuth) == 0) {
-            send_error(conn,
-                       "registry requires authentication (--auth-key-file); "
-                       "peer presented no key");
-            return true;
-          }
-          const std::string challenge = make_challenge();
-          wire::Writer cw;
-          cw.str(challenge);
-          if (!conn.send(kFrameAuthChallenge, cw.data())) {
-            return true;
-          }
-          wire::Frame reply;
-          if (!conn.recv(&reply) || reply.type != kFrameAuthResponse) {
-            send_error(conn, "registry: expected an auth response");
-            return true;
-          }
-          wire::Reader rr(reply.payload);
-          const std::string mac = rr.str();
-          rr.expect_done();
-          if (!mac_equal(mac, auth_mac(options_.table.auth_key, challenge))) {
-            send_error(conn,
-                       "registry: authentication failed (wrong --auth-key-"
-                       "file?)");
-            return true;
-          }
-        }
-        wire::Writer w;
-        hello.encode(w);
-        if (!conn.send(net::kFrameHelloAck, w.data())) {
-          return true;
-        }
-        handshaken = true;
-      } else if (!handshaken) {
-        send_error(conn,
-                   "registry: frame before the Hello handshake (refusing "
-                   "unversioned traffic)");
-        return true;
-      } else if (frame.type == kFrameFleetJoin ||
-                 frame.type == kFrameFleetHeartbeat) {
-        wire::Reader r(frame.payload);
-        const JoinInfo info = JoinInfo::decode(r);
-        r.expect_done();
-        table_.join(info, steady_now_ms());
-        if (frame.type == kFrameFleetJoin && !options_.quiet) {
-          std::fprintf(stderr,
-                       "fleet_registryd: member %s joined (weight %u)\n",
-                       info.endpoint().c_str(),
-                       static_cast<unsigned>(info.weight));
-        }
-        if (!conn.send(kFrameFleetOk, {})) {
-          return true;
-        }
-      } else if (frame.type == kFrameFleetLeave) {
-        wire::Reader r(frame.payload);
-        const JoinInfo info = JoinInfo::decode(r);
-        r.expect_done();
-        table_.leave(info.endpoint());
-        if (!options_.quiet) {
-          std::fprintf(stderr, "fleet_registryd: member %s left\n",
-                       info.endpoint().c_str());
-        }
-        if (!conn.send(kFrameFleetOk, {})) {
-          return true;
-        }
-      } else if (frame.type == kFrameFleetResolve) {
-        wire::Reader r(frame.payload);
-        const ResolveRequest req = ResolveRequest::decode(r);
-        r.expect_done();
-        const GrantResponse resp = table_.resolve(req, steady_now_ms());
-        if (!options_.quiet) {
-          std::fprintf(stderr,
-                       "fleet_registryd: granted %zu of %u live member(s) "
-                       "to coordinator %llu\n",
-                       resp.members.size(),
-                       static_cast<unsigned>(resp.live_members),
-                       static_cast<unsigned long long>(req.coordinator_id));
-        }
-        wire::Writer w;
-        resp.encode(w);
-        if (!conn.send(kFrameFleetGrant, w.data())) {
-          return true;
-        }
-      } else {
-        send_error(conn, "registry: unexpected frame type " +
-                             std::to_string(frame.type));
-        return true;
-      }
-    } catch (const wire::Error& e) {
-      send_error(conn,
-                 std::string("registry: malformed payload: ") + e.what());
-      return true;
-    }
-  }
-}
+    : table_(options.table),
+      server_(kRegistryNames, options.port, options.max_sessions,
+              /*once=*/false, options.quiet, options.table.auth_key,
+              [this, quiet = options.quiet]() {
+                return std::make_unique<MembershipSession>(table_, quiet);
+              }) {}
 
 }  // namespace fleet
 }  // namespace rbx

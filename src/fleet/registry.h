@@ -21,25 +21,21 @@
 // key (fleet/auth.h); workers verify the signature in the Hello
 // handshake without talking to the registry.
 //
-// RegistryServer wraps the table in a loopback-testable TCP server with
-// the same session discipline as net::WorkerServer: versioned Hello
-// handshake first (HMAC challenge/response when a key is set), then
-// Join/Heartbeat/Leave/Resolve frames until EOF.
+// RegistryServer serves the table over TCP on the session server both
+// daemons share (net/session.h): versioned Hello handshake first (HMAC
+// challenge/response when a key is set), then Join/Heartbeat/Leave/
+// Resolve frames until EOF.  Those four frames are all it adds.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <list>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fleet/proto.h"
-#include "net/frame.h"
-#include "net/socket.h"
+#include "net/session.h"
 
 namespace rbx {
 namespace fleet {
@@ -107,33 +103,17 @@ class RegistryServer {
  public:
   // Binds and listens immediately (throws net::Error on failure).
   explicit RegistryServer(const RegistryOptions& options);
-  ~RegistryServer();
 
-  std::uint16_t port() const { return listener_.port(); }
+  std::uint16_t port() const { return server_.port(); }
 
-  // Accept-and-serve loop until stop().  Always returns true (the
-  // registry has no fail hook); signature matches WorkerServer::serve so
-  // the daemons' main()s stay parallel.
-  bool serve();
-  void stop();
+  // Accept-and-serve loop until stop().  Always returns true: no
+  // membership frame fails the server.
+  bool serve() { return server_.serve(); }
+  void stop() { server_.stop(); }
 
  private:
-  bool serve_connection(net::FrameConn& conn);
-
-  struct Session {
-    explicit Session(net::Socket sock) : conn(std::move(sock)) {}
-    net::FrameConn conn;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-  void reap_sessions(bool all);
-
-  RegistryOptions options_;
-  net::Listener listener_;
   MemberTable table_;
-  std::atomic<bool> stopping_{false};
-  std::mutex sessions_mutex_;
-  std::list<std::unique_ptr<Session>> sessions_;
+  net::SessionServer server_;  // last: its sessions use table_
 };
 
 // Milliseconds on the monotonic clock - the `now_ms` feed for the live

@@ -6,8 +6,8 @@
 // on its socketpair.  Since the dispatch refactor the buffered framing
 // itself lives in core (rbx::FrameChannel, core/lane.h): FrameConn is that
 // class adopting a net::Socket's fd, and the handshake frames (Hello /
-// HelloAck / Error) are re-exported here from core for the worker daemon
-// and its tests.
+// HelloAck / Error) are re-exported here from core for the daemons'
+// session server (net/session.h) and their tests.
 //
 // On top of the executor-layer frames (kFrameCellBatch / kFrameResultBatch)
 // the cluster protocol adds a handshake:
@@ -26,11 +26,11 @@
 // or hung and reconnected mid-sweep) re-runs exactly this handshake
 // against the same fingerprint before it may take work again.
 //
-// Each coordinator connection is one *session* with its own state: a
-// daemon serving several coordinators at once (net/worker.h) keeps a
-// per-session handshake flag and batch counter, and a kFrameCellBatch on
-// a session that has not completed a Hello is refused with kFrameError -
-// work must never bypass the version/fingerprint checks.  Frames on one
+// Each connection is one *session* with its own state: both daemons run
+// the one session server of net/session.h, which keeps a per-session
+// handshake flag and refuses any frame on a session that has not
+// completed a Hello with kFrameError - work must never bypass the
+// version/fingerprint checks.  Frames on one
 // session stay strictly ordered (one TCP stream), which is what lets a
 // coordinator flush a straggler's stale kFrameResultBatch answers while
 // waiting for the next sweep's ack: anything the worker still owed from

@@ -4,8 +4,8 @@
 // Everything here is deliberately boring POSIX: blocking sockets, IPv4/
 // IPv6 via getaddrinfo, EINTR handled by support/io.h.  The interesting
 // protocol lives one layer up in net/frame.h (framed wire traffic),
-// fleet/lane.h (the coordinator's remote lane) and net/worker.h (the
-// worker daemon).
+// fleet/lane.h (the coordinator's remote lane) and net/session.h (the
+// server both daemons run).
 //
 // Errors are net::Error (a std::runtime_error): a refused connection, an
 // unresolvable host or a failed bind are infrastructure failures the
@@ -84,8 +84,9 @@ class Listener {
   // connect (shutdown alone only wakes accept on Linux).  The woken
   // accept either fails or returns the throwaway connection, so callers
   // must set their stop flag *before* abort() and re-check it after
-  // every accept.  The WorkerServer stop path and the fail_after kill
-  // hook use this to get the accept loop out of its blocking accept.
+  // every accept.  SessionServer::stop() - also the path of a session
+  // that fails the server - uses this to get the accept loop out of its
+  // blocking accept.
   void abort();
 
  private:

@@ -1,23 +1,20 @@
 // The worker side of the cluster transport: a server that evaluates cell
 // batches for remote coordinators.
 //
-// One WorkerServer owns one listening TCP port and serves coordinators
-// *concurrently*: each accepted connection becomes a session on its own
-// thread, so a second coordinator no longer wedges in the accept backlog
-// while the first one holds its sweep.  Sessions are independent - each
-// keeps its own handshake state and batch counter - and cap at
-// `max_coordinators`; a coordinator beyond the cap is refused with a
-// kFrameError instead of being silently queued.
+// WorkerServer runs on the one session server both daemons share
+// (net/session.h): each coordinator connection is a session on its own
+// thread, capped at `max_coordinators`, opened by the versioned Hello
+// handshake (with the HMAC challenge when `auth_key` is set) before any
+// batch.  The worker adds only its batch handler.  Sessions are
+// independent - each keeps its own cache opt-out and batch counter - and
+// backends are stateless singletons (core/backend.h), so sessions
+// evaluate concurrently without shared state.
 //
 // Cells arrive as kFrameCellBatch frames carrying EvalPlans - the worker
 // has no access to bench code, so a cell without a plan is answered with
 // a per-cell error - and every batch is answered with one
-// kFrameResultBatch frame.  A session must complete the versioned Hello
-// handshake before any batch; work sent first is refused with
-// kFrameError and the session is hung up (it would bypass the
-// protocol/wire-version/fingerprint checks).  Backends are stateless
-// singletons (core/backend.h), so sessions evaluate concurrently without
-// shared state.
+// kFrameResultBatch frame.  A Hello that carries a fleet lease is refused
+// unless the lease is signed under `auth_key` (fleet/auth.h).
 //
 // The logic lives in the library (not in tools/sweep_workerd.cc) so tests
 // can run a real worker on a loopback socket inside a thread, including
@@ -36,17 +33,12 @@
 // re-admission smoke restart one deterministically).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
-#include "net/frame.h"
-#include "net/socket.h"
+#include "net/session.h"
 #include "recov/cache.h"
 
 namespace rbx {
@@ -88,49 +80,26 @@ class WorkerServer {
   // Binds and listens immediately (throws net::Error on failure), so the
   // port is known - and connectable - before serve() is entered.
   explicit WorkerServer(const WorkerOptions& options);
-  ~WorkerServer();  // stops and joins any remaining session threads
 
-  std::uint16_t port() const { return listener_.port(); }
+  std::uint16_t port() const { return server_.port(); }
 
   // Accept-and-serve loop.  Returns false as soon as the fail_after hook
   // trips on any session (the daemon exits non-zero: this worker counts
   // as killed, and every other session is dropped with it); returns true
   // after one connection with options.once or after stop(); otherwise
   // loops forever, serving up to max_coordinators sessions at a time.
-  bool serve();
+  bool serve() { return server_.serve(); }
 
   // Thread-safe shutdown: unblocks the accept loop and every session so
   // serve() returns.  Tests use this to stop a serve-forever daemon.
-  void stop();
+  void stop() { server_.stop(); }
 
  private:
-  // One coordinator session until EOF; false = fail_after tripped.
-  bool serve_connection(FrameConn& conn);
-
-  struct Session {
-    explicit Session(Socket sock) : conn(std::move(sock)) {}
-    FrameConn conn;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
-  // Joins sessions whose threads have finished; with `all`, aborts and
-  // joins every session (shutdown).
-  void reap_sessions(bool all);
-
   WorkerOptions options_;
-  Listener listener_;
   // The shared result cache (--cache-dir); sessions consult and fill it
   // concurrently (ResultCache is internally locked).  Null = no cache.
   std::unique_ptr<recov::ResultCache> cache_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> failed_{false};
-  std::mutex sessions_mutex_;
-  std::list<std::unique_ptr<Session>> sessions_;
-  // The once-mode connection, served inline by serve() rather than as a
-  // Session; registered here (under sessions_mutex_) so stop() can
-  // abort a recv() blocked on it.  Null outside a once-mode session.
-  FrameConn* once_conn_ = nullptr;
+  SessionServer server_;  // last: its sessions use options_ and cache_
 };
 
 }  // namespace net

@@ -3,8 +3,10 @@
 // --connect list (the same lane over a static member list, whose Hello
 // carries no lease but still authenticates); a daemon killed mid-sweep is
 // backfilled by a member that joined the registry *after* the sweep
-// started; and a keyed worker refuses keyless, wrong-keyed and
-// forged-lease coordinators with an error frame - loudly, never a hang.
+// started; and a keyed worker refuses a forged-lease coordinator with an
+// error frame - loudly, never a hang.  Keyless and wrong-keyed peers are
+// refused by the session server both daemons share
+// (tests/net/session_test.cc).
 // Workers and registry are the real servers on loopback sockets inside
 // threads.
 #include "fleet/lane.h"
@@ -336,33 +338,6 @@ wire::Frame handshake_reply(net::FrameConn& conn, const net::Hello& hello) {
   wire::Frame reply;
   EXPECT_TRUE(conn.recv(&reply));
   return reply;
-}
-
-TEST(WorkerAuthTest, KeylessCoordinatorIsRefusedWithAnErrorFrame) {
-  TestWorker worker(worker_options(/*once=*/true, 0, "fleet-key"));
-  net::FrameConn conn(net::connect_to(worker.endpoint(), /*retries=*/5));
-  const wire::Frame reply = handshake_reply(conn, net::Hello{});
-  ASSERT_EQ(reply.type, net::kFrameError);
-  wire::Reader r(reply.payload);
-  EXPECT_NE(r.str().find("authentication"), std::string::npos);
-}
-
-TEST(WorkerAuthTest, WrongKeyFailsTheChallenge) {
-  TestWorker worker(worker_options(/*once=*/true, 0, "fleet-key"));
-  net::FrameConn conn(net::connect_to(worker.endpoint(), /*retries=*/5));
-  net::Hello hello;
-  hello.flags |= kHelloFlagAuth;
-  wire::Frame challenge = handshake_reply(conn, hello);
-  ASSERT_EQ(challenge.type, kFrameAuthChallenge);
-  wire::Reader cr(challenge.payload);
-  wire::Writer response;
-  response.str(fleet::auth_mac("wrong-key", cr.str()));
-  ASSERT_TRUE(conn.send(kFrameAuthResponse, response.data()));
-  wire::Frame reply;
-  ASSERT_TRUE(conn.recv(&reply));
-  ASSERT_EQ(reply.type, net::kFrameError);
-  wire::Reader r(reply.payload);
-  EXPECT_NE(r.str().find("authentication failed"), std::string::npos);
 }
 
 TEST(WorkerAuthTest, RightKeyPassesTheChallenge) {

@@ -235,28 +235,6 @@ TEST(ConnectLaneTest, TwoCoordinatorsShareOneDaemonPoolConcurrently) {
   EXPECT_TRUE(second_ok);
 }
 
-TEST(ConnectLaneTest, CoordinatorBeyondCapacityIsRefusedNotBacklogged) {
-  PoolWorker worker(/*max_coordinators=*/1);
-
-  net::FrameConn first(net::connect_to(worker.endpoint(), /*retries=*/5));
-  net::Hello hello;
-  wire::Writer w;
-  hello.encode(w);
-  ASSERT_TRUE(first.send(net::kFrameHello, w.data()));
-  wire::Frame ack;
-  ASSERT_TRUE(first.recv(&ack));
-  ASSERT_EQ(ack.type, net::kFrameHelloAck);
-
-  // The session above is still open, so a second coordinator must get a
-  // loud refusal instead of sitting in the accept backlog forever.
-  net::FrameConn second(net::connect_to(worker.endpoint(), /*retries=*/5));
-  wire::Frame reply;
-  ASSERT_TRUE(second.recv(&reply));
-  EXPECT_EQ(reply.type, net::kFrameError);
-  wire::Reader r(reply.payload);
-  EXPECT_NE(r.str().find("max-coordinators"), std::string::npos);
-}
-
 TEST(ConnectLaneTest, StealsStragglerTailAndStaysBitwise) {
   const std::vector<Scenario> cells = mc_grid(53);
   const PlanFn plan = mc_plan();
@@ -329,69 +307,6 @@ TEST(ConnectLaneTest, HungHandshakeWorkerIsDemotedNotWaitedOn) {
       EXPECT_EQ(remote[i].result, reference[i].result);
     }
     EXPECT_EQ(cluster.lane->live(), 1u);
-  }
-}
-
-TEST(WorkerHandshakeTest, RefusesWireVersionMismatch) {
-  TestWorker worker;
-  {
-    net::FrameConn conn(
-        net::connect_to(worker.endpoint(), /*retries=*/5));
-    net::Hello hello;
-    hello.wire_version = wire::kVersion + 1;
-    wire::Writer w;
-    hello.encode(w);
-    ASSERT_TRUE(conn.send(net::kFrameHello, w.data()));
-    wire::Frame reply;
-    ASSERT_TRUE(conn.recv(&reply));
-    EXPECT_EQ(reply.type, net::kFrameError);
-    wire::Reader r(reply.payload);
-    EXPECT_NE(r.str().find("wire version"), std::string::npos);
-  }
-}
-
-TEST(WorkerHandshakeTest, RefusesProtocolMismatch) {
-  TestWorker worker;
-  {
-    net::FrameConn conn(
-        net::connect_to(worker.endpoint(), /*retries=*/5));
-    net::Hello hello;
-    hello.protocol = net::kProtocolVersion + 7;
-    wire::Writer w;
-    hello.encode(w);
-    ASSERT_TRUE(conn.send(net::kFrameHello, w.data()));
-    wire::Frame reply;
-    ASSERT_TRUE(conn.recv(&reply));
-    EXPECT_EQ(reply.type, net::kFrameError);
-    wire::Reader r(reply.payload);
-    EXPECT_NE(r.str().find("protocol"), std::string::npos);
-  }
-}
-
-TEST(WorkerTest, RejectsCellBatchBeforeHandshake) {
-  // Work sent before the Hello would bypass the protocol/wire-version/
-  // fingerprint checks entirely; the worker must refuse and hang up.
-  // A pool-mode worker, because its sessions outlive their threads: the
-  // hang-up must come from the session ending, not from daemon teardown.
-  PoolWorker worker(/*max_coordinators=*/2);
-  {
-    net::FrameConn conn(
-        net::connect_to(worker.endpoint(), /*retries=*/5));
-    CellBatch batch;
-    batch.cells.push_back(BatchCell{
-        0, Scenario::symmetric(2, 1.0, 1.0), true,
-        EvalPlan{{EvalStep{"analytic", ""}}}});
-    wire::Writer bw;
-    batch.encode(bw);
-    ASSERT_TRUE(conn.send(kFrameCellBatch, bw.data()));
-    wire::Frame reply;
-    ASSERT_TRUE(conn.recv(&reply));
-    EXPECT_EQ(reply.type, net::kFrameError);
-    wire::Reader r(reply.payload);
-    EXPECT_NE(r.str().find("handshake"), std::string::npos);
-    // The worker hung up: the next recv sees EOF, not an answer.
-    wire::Frame extra;
-    EXPECT_FALSE(conn.recv(&extra));
   }
 }
 
