@@ -39,10 +39,9 @@
 //                per-cell outcomes bitwise identical to a serial run;
 //   EvalContext  the ambient per-evaluation thread budget and loan
 //                (core/eval_context.h): lanes install it around their
-//                serve loops (DispatchOptions::eval_threads, adaptive by
-//                default - a lane raising fewer workers than its
-//                configured parallelism hands the spare threads to each
-//                worker's intra-cell stream pool), worker daemons set it
+//                serve loops (adaptive - a lane raising fewer workers than
+//                its configured parallelism hands the spare threads to
+//                each worker's intra-cell stream pool), worker daemons set it
 //                from --eval-threads, and the Monte-Carlo backends read
 //                it to size their stream pools and event pipelines; a
 //                ThreadLane's idle workers also lend their threads to the

@@ -107,7 +107,7 @@ std::vector<CellOutcome> HybridExecutor::run(
   std::vector<LaneWorker*> workers;
   for (const auto& lane : lanes_) {
     try {
-      lane->start(cells.size(), cell_fn, options_.eval_threads, &workers);
+      lane->start(cells.size(), cell_fn, &workers);
     } catch (...) {
       for (const auto& started : lanes_) {
         started->finish();

@@ -63,10 +63,6 @@ struct DispatchOptions {
   // Ask remote daemons to bypass their result cache (--no-cache): set the
   // kHelloFlagNoCache bit in this sweep's handshake.
   bool no_cache = false;
-  // Intra-cell thread budget handed to every lane's workers (the
-  // Monte-Carlo stream pool; see Lane::start).  0 = adaptive: each lane
-  // redistributes its configured parallelism over the workers it raises.
-  std::size_t eval_threads = 0;
 };
 
 // Owns its lanes; per-sweep lanes (threads, forks) are raised and reaped

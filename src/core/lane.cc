@@ -136,16 +136,15 @@ namespace {
 // the batch, evaluate every cell through cell_fn, answer with one
 // kFrameResultBatch.  Exactly this loop runs inside a ThreadLane worker
 // thread and inside a ForkLane child process - from the dispatch loop's
-// point of view the two are indistinguishable.  eval_threads and `loan`
-// are installed as the worker's ambient EvalContext for the whole
+// point of view the two are indistinguishable.  `budget` and `loan` are
+// installed as the worker's ambient EvalContext for the whole
 // session, so every cell_fn invocation sees the lane's intra-cell thread
 // budget and its lendable threads.  While blocked waiting for the next
 // batch the worker lends its budget to `loan` (null: no lane loan), and
 // it takes the budget back as soon as the wait ends.  Returns true on
 // clean EOF, false on a corrupt or out-of-protocol request stream.
 bool serve_cells(FrameChannel& ch, const CellFn& cell_fn,
-                 std::size_t eval_threads, ThreadLoan* loan) {
-  const std::size_t budget = std::max<std::size_t>(eval_threads, 1);
+                 std::size_t budget, ThreadLoan* loan) {
   EvalContextScope scope(EvalContext{budget, loan});
   for (;;) {
     wire::Frame frame;
@@ -198,16 +197,11 @@ std::size_t clamp_workers(std::size_t configured, std::size_t cell_count) {
   return std::min(configured, std::max<std::size_t>(cell_count, 1));
 }
 
-// The per-worker intra-cell thread budget.  requested != 0 is an explicit
-// budget passed through verbatim; 0 is adaptive - redistribute the lane's
-// configured parallelism over the workers actually raised, so clamping
+// The per-worker intra-cell thread budget: the lane's configured
+// parallelism redistributed over the workers actually raised, so clamping
 // the worker count to a small cell count hands the freed threads to the
 // surviving workers' stream pools instead of idling them.
-std::size_t worker_eval_threads(std::size_t requested, std::size_t configured,
-                                std::size_t raised) {
-  if (requested != 0) {
-    return requested;
-  }
+std::size_t worker_eval_threads(std::size_t configured, std::size_t raised) {
   return std::max<std::size_t>(configured / std::max<std::size_t>(raised, 1),
                                1);
 }
@@ -236,11 +230,10 @@ ThreadLane::ThreadLane(std::size_t threads)
 ThreadLane::~ThreadLane() { finish(); }
 
 void ThreadLane::start(std::size_t cell_count, const CellFn& cell_fn,
-                       std::size_t eval_threads,
                        std::vector<LaneWorker*>* out) {
   finish();
   const std::size_t count = clamp_workers(threads_, cell_count);
-  const std::size_t budget = worker_eval_threads(eval_threads, threads_, count);
+  const std::size_t budget = worker_eval_threads(threads_, count);
   for (std::size_t i = 0; i < count; ++i) {
     int sv[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
@@ -368,14 +361,13 @@ bool ForkLane::spawn(Worker& worker) {
 }
 
 void ForkLane::start(std::size_t cell_count, const CellFn& cell_fn,
-                     std::size_t eval_threads,
                      std::vector<LaneWorker*>* out) {
   finish();
   cell_fn_ = &cell_fn;
   const std::size_t count = clamp_workers(count_, cell_count);
   // Stored on the lane (not a start() local) because mid-sweep revives
   // re-enter spawn() long after start() returned.
-  worker_eval_threads_ = worker_eval_threads(eval_threads, count_, count);
+  worker_eval_threads_ = worker_eval_threads(count_, count);
   std::size_t spawned = 0;
   for (std::size_t i = 0; i < count; ++i) {
     auto worker = std::make_unique<Worker>(this, i);

@@ -206,20 +206,19 @@ class Lane {
   // available; cell_fn is how thread/fork workers evaluate (captured for
   // the duration of the sweep - it must outlive finish()).
   //
-  // eval_threads is the intra-cell thread budget each worker installs as
-  // its ambient EvalContext before evaluating (the Monte-Carlo backend's
-  // stream pool and event pipeline, core/eval_context.h).  0 = adaptive:
-  // a worker's budget is its lane's configured parallelism divided by the
-  // workers actually raised, so a 4-thread lane handed 1 cell gives that
-  // cell all 4 threads, and handed 8 cells gives each worker a budget of
-  // 1.  That static share never changes mid-sweep; on top of it a
-  // ThreadLane lends the shares of its idle workers to the cells still
-  // running (ThreadLoan, support/thread_loan.h), so once the queue is
-  // empty a straggler's pipeline runs on the threads of the workers that
-  // wait.  ForkLane children keep the static share alone, and remote
-  // lanes ignore eval_threads - each daemon owns its budget.
+  // Each local worker installs an intra-cell thread budget as its ambient
+  // EvalContext before evaluating (the Monte-Carlo backend's stream pool
+  // and event pipeline, core/eval_context.h): its lane's configured
+  // parallelism divided by the workers actually raised, so a 4-thread
+  // lane handed 1 cell gives that cell all 4 threads, and handed 8 cells
+  // gives each worker a budget of 1.  That static share never changes
+  // mid-sweep; on top of it a ThreadLane lends the shares of its idle
+  // workers to the cells still running (ThreadLoan,
+  // support/thread_loan.h), so once the queue is empty a straggler's
+  // pipeline runs on the threads of the workers that wait.  ForkLane
+  // children keep the static share alone, and remote lanes set no
+  // budget - each daemon owns its own (sweep_workerd --eval-threads).
   virtual void start(std::size_t cell_count, const CellFn& cell_fn,
-                     std::size_t eval_threads,
                      std::vector<LaneWorker*>* out) = 0;
   virtual void finish() = 0;
 };
@@ -243,7 +242,6 @@ class ThreadLane final : public Lane {
   std::size_t threads() const { return threads_; }
 
   void start(std::size_t cell_count, const CellFn& cell_fn,
-             std::size_t eval_threads,
              std::vector<LaneWorker*>* out) override;
   void finish() override;
 
@@ -273,7 +271,6 @@ class ForkLane final : public Lane {
   std::size_t workers() const { return count_; }
 
   void start(std::size_t cell_count, const CellFn& cell_fn,
-             std::size_t eval_threads,
              std::vector<LaneWorker*>* out) override;
   void finish() override;
 

@@ -229,38 +229,38 @@ class EventPipeline {
     }
   }
 
-  // A helper thread: takes the oldest announced block, runs stage 2 on it
-  // and publishes it, while its index is below the active count.
+  // A helper thread: takes the newest announced block (why: the header),
+  // runs stage 2 on it and publishes it, while its index is below the
+  // active count.
   void help(std::size_t index) {
     while (!stop_.load(std::memory_order_relaxed)) {
       if (index >= active_.load(std::memory_order_acquire)) {
         std::this_thread::sleep_for(kParkedPoll);  // thread given back
         continue;
       }
-      Slot* oldest = nullptr;
-      std::uint64_t oldest_tag = 0;
+      Slot* newest = nullptr;
+      std::uint64_t newest_tag = 0;
       for (Slot& slot : *slots_) {
         const std::uint64_t tag = slot.tag.load(std::memory_order_relaxed);
-        if ((tag & kStateMask) == kAnnounced &&
-            (oldest == nullptr || tag < oldest_tag)) {
-          oldest = &slot;
-          oldest_tag = tag;
+        if ((tag & kStateMask) == kAnnounced && tag > newest_tag) {
+          newest = &slot;
+          newest_tag = tag;
         }
       }
-      const std::uint64_t id_bits = oldest_tag & ~std::uint64_t{kStateMask};
-      if (oldest == nullptr ||
-          !oldest->tag.compare_exchange_strong(oldest_tag, id_bits | kClaimed,
+      const std::uint64_t id_bits = newest_tag & ~std::uint64_t{kStateMask};
+      if (newest == nullptr ||
+          !newest->tag.compare_exchange_strong(newest_tag, id_bits | kClaimed,
                                                std::memory_order_acquire)) {
         std::this_thread::yield();
         continue;
       }
-      Rng rng = oldest->start;
-      draw_events(rng, table_, kBlock, oldest->delay.data(),
-                  oldest->category.data());
+      Rng rng = newest->start;
+      draw_events(rng, table_, kBlock, newest->delay.data(),
+                  newest->category.data());
       std::uint64_t claimed = id_bits | kClaimed;
-      if (!oldest->tag.compare_exchange_strong(claimed, id_bits | kReady,
+      if (!newest->tag.compare_exchange_strong(claimed, id_bits | kReady,
                                                std::memory_order_release)) {
-        oldest->tag.store(kFree, std::memory_order_release);  // abandoned
+        newest->tag.store(kFree, std::memory_order_release);  // abandoned
       }
     }
   }
@@ -287,6 +287,83 @@ class EventPipeline {
   std::vector<std::thread> helpers_;  // last: joined before the rest dies
 };
 
+// Stage 3, the model observer (des/async_sim.h).  step() is the one
+// per-event loop both drivers run: the pipeline feeds it a block, the
+// on-demand driver one event at a time.  An RP of process k changes the
+// chain's state at the entry state (rule R4: a fresh RP on the line
+// re-forms a line at once) or when x_k = 0; an RP while x_k = 1
+// (intermediate) is invisible to the chain and is counted in incl/excl
+// only.  Only an RP can leave the mask full (an interaction clears its
+// pair's bits, rules R2 / R3), so a full mask is a formed line.
+class ModelObserver {
+ public:
+  ModelObserver(std::size_t lines, std::size_t n, const CategoryStep* steps,
+                std::size_t* incl, std::size_t* state_changing,
+                AsyncSimResult& result)
+      : lines_(lines), n_(n), full_((std::size_t{1} << n) - 1),
+        steps_(steps), incl_(incl), state_changing_(state_changing),
+        result_(result), mask_(full_) {}
+
+  // Observes events in stream order until one forms a line; returns its
+  // index, or `size` when none does.  The state lives in locals for the
+  // loop, which makes no call, so t and the mask stay in registers.
+  std::size_t step(const double* delay, const std::uint32_t* category,
+                   std::size_t size) {
+    double t = t_;
+    std::size_t mask = mask_;
+    std::size_t e = 0;
+    for (; e < size; ++e) {
+      t += delay[e];
+      const CategoryStep& step = steps_[category[e]];
+      const std::size_t before = mask;
+      mask = (before & step.keep) | step.set;
+      ++incl_[category[e]];
+      state_changing_[category[e]] += static_cast<std::size_t>(
+          (before == full_) | ((before & step.set) == 0));
+      if (mask == full_) {
+        break;
+      }
+    }
+    t_ = t;
+    mask_ = mask;
+    return e;
+  }
+
+  // Records the line that an RP of process k just formed and resets the
+  // per-line counters; true when it is the last line.
+  bool line_formed(std::size_t k) {
+    result_.interval.add(t_ - line_start_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      result_.rp_incl_final[i].add(static_cast<double>(incl_[i]));
+      // The line-forming RP (this one, owned by k) is excluded from
+      // convention (b).
+      const std::size_t e = incl_[i] - (i == k ? 1 : 0);
+      result_.rp_excl_final[i].add(static_cast<double>(e));
+      result_.rp_state_changing[i].add(
+          static_cast<double>(state_changing_[i]));
+      incl_[i] = state_changing_[i] = 0;
+    }
+    line_start_ = t_;
+    return ++formed_ == lines_;
+  }
+
+  double t() const { return t_; }
+  double line_start() const { return line_start_; }
+
+ private:
+  const std::size_t lines_;
+  const std::size_t n_;
+  const std::size_t full_;
+  const CategoryStep* const steps_;
+  std::size_t* const incl_;
+  std::size_t* const state_changing_;
+  AsyncSimResult& result_;
+  double t_ = 0.0;
+  double line_start_ = 0.0;
+  std::size_t mask_;  // starts at the entry state, all ones
+  std::size_t formed_ = 0;
+};
+
 }  // namespace
 
 AsyncRbSimulator::AsyncRbSimulator(ProcessSetParams params, std::uint64_t seed)
@@ -294,11 +371,12 @@ AsyncRbSimulator::AsyncRbSimulator(ProcessSetParams params, std::uint64_t seed)
       rng_(seed),
       pairs_(params_.interacting_pairs()),
       table_(event_rates(params_, pairs_)) {
+  const std::size_t all = ~std::size_t{0};
   for (std::size_t i = 0; i < params_.n(); ++i) {
-    bits_.push_back(std::size_t{1} << i);
+    steps_.push_back({all, std::size_t{1} << i});
   }
   for (const auto& [i, j] : pairs_) {
-    bits_.push_back((std::size_t{1} << i) | (std::size_t{1} << j));
+    steps_.push_back({~((std::size_t{1} << i) | (std::size_t{1} << j)), 0});
   }
 }
 
@@ -312,79 +390,44 @@ AsyncSimResult AsyncRbSimulator::run_lines(std::size_t lines,
   result.rp_excl_final.resize(n);
   result.rp_state_changing.resize(n);
 
-  const std::size_t full = (std::size_t{1} << n) - 1;
-  double t = 0.0;
-  double line_start = 0.0;
   const bool on_demand = error_rate > 0.0;
   double next_error = on_demand ? rng_.exponential(error_rate)
                                 : std::numeric_limits<double>::infinity();
-  std::size_t mask = full;  // the entry state
-  incl_scratch_.assign(n, 0);
-  state_changing_scratch_.assign(n, 0);
-  std::vector<std::size_t>& incl = incl_scratch_;
-  std::vector<std::size_t>& state_changing = state_changing_scratch_;
-
-  // Stage 3, the observer step: one event, in stream order.
-  std::size_t formed = 0;
-  const auto observe = [&](double delay, std::size_t k) {
-    t += delay;
-    // Sample the line age at every error instant passed by this event (the
-    // error process is independent of RPs and interactions).
-    while (next_error <= t) {
-      result.line_age.add(next_error - line_start);
-      next_error += rng_.exponential(error_rate);
-    }
-    if (k >= n) {
-      // Interaction clears the pair's bits (rules R2 / R3).
-      mask &= ~bits_[k];
-      return;
-    }
-
-    // Recovery point of process k.  It changes the chain's state at the
-    // entry state (rule R4: a fresh RP on the line re-forms a line
-    // immediately) or when x_k = 0; an RP while x_k = 1 (intermediate) is
-    // invisible to the chain and is counted in incl/excl only.
-    ++incl[k];
-    if (mask == full || (mask & bits_[k]) == 0) {
-      ++state_changing[k];
-    }
-    mask |= bits_[k];
-    if (mask != full) {
-      return;
-    }
-
-    ++formed;
-    result.interval.add(t - line_start);
-    for (std::size_t i = 0; i < n; ++i) {
-      result.rp_incl_final[i].add(static_cast<double>(incl[i]));
-      // The line-forming RP (this one, owned by k) is excluded from
-      // convention (b).
-      const std::size_t e = incl[i] - (i == k ? 1 : 0);
-      result.rp_excl_final[i].add(static_cast<double>(e));
-      result.rp_state_changing[i].add(static_cast<double>(state_changing[i]));
-      incl[i] = state_changing[i] = 0;
-    }
-    line_start = t;
-  };
-
-  if (on_demand) {
-    // Error draws follow the events they pass, so each event is drawn
-    // (stages 1 and 2) just before it is observed.
-    while (formed < lines) {
-      const double delay = rng_.exponential(table_.total());
-      observe(delay, table_.sample(rng_));
-    }
-    return result;
-  }
+  incl_scratch_.assign(steps_.size(), 0);
+  state_changing_scratch_.assign(steps_.size(), 0);
+  ModelObserver observer(lines, n, steps_.data(), incl_scratch_.data(),
+                         state_changing_scratch_.data(), result);
   if (lines == 0) {
     return result;
+  }
+  if (on_demand) {
+    // Error draws follow the events they pass, so each event is drawn
+    // (stages 1 and 2) just before it is observed, and the line age is
+    // sampled at every error instant the event passes (the error process
+    // is independent of RPs and interactions) before the event can form a
+    // line.
+    for (;;) {
+      const double delay = rng_.exponential(table_.total());
+      const auto k = static_cast<std::uint32_t>(table_.sample(rng_));
+      while (next_error <= observer.t() + delay) {
+        result.line_age.add(next_error - observer.line_start());
+        next_error += rng_.exponential(error_rate);
+      }
+      // A one-event step returns 0 when the event formed a line.
+      if (observer.step(&delay, &k, 1) == 0 && observer.line_formed(k)) {
+        return result;
+      }
+    }
   }
   EventPipeline pipeline(rng_, table_, helpers, loan);
   for (;;) {
     const Events block = pipeline.next();
-    for (std::size_t e = 0; e < block.size; ++e) {
-      observe(block.delay[e], block.category[e]);
-      if (formed == lines) {
+    for (std::size_t e = 0;; ++e) {
+      e += observer.step(block.delay + e, block.category + e, block.size - e);
+      if (e == block.size) {
+        break;
+      }
+      if (observer.line_formed(block.category[e])) {
         pipeline.rewind(e + 1);  // events read ahead stay in the stream
         return result;
       }
@@ -413,18 +456,16 @@ ExactLineResult AsyncRbSimulator::run_exact(std::size_t events) {
 
   for (std::size_t e = 0; e < events; ++e) {
     const std::size_t k = next_event(t);
+    // Model observer: an interaction clears its pair's bits; an RP forms
+    // a line at the entry state or when it sets the last clear bit.
+    mask = (mask & steps_[k].keep) | steps_[k].set;
     if (k >= n) {
       const auto [a, b] = pairs_[k - n];
       history.add_interaction(a, b, t);
-      mask &= ~bits_[k];
       continue;
     }
 
     history.add_recovery_point(k, t);
-
-    // Model observer: the RP forms a line at the entry state or when it
-    // sets the last clear bit; otherwise setting its bit is all it does.
-    mask |= bits_[k];
     if (mask == full) {
       result.model_interval.add(t - model_line_start);
       model_line_start = t;

@@ -20,12 +20,18 @@
 // from a CategoricalTable (k < n: an RP of process k; k >= n: an
 // interaction of pairs_[k - n]) - the same generator steps, and so the
 // same trajectory, as Rng::categorical over the rates.  The model
-// observer keeps one bit mask x of the last-action bits and a bit mask
-// per category: an interaction clears its pair's bits, and an RP of a
-// process whose bit is clear sets it.  The entry state (all ones with
-// rule R4 active: the next RP re-forms a line at once) is exactly
-// x == all ones, because an interaction always clears bits and an RP
-// that fills the mask forms the line.
+// observer keeps one bit mask x of the last-action bits and steps it with
+// two masks per category, x = (x & keep[k]) | set[k]: an interaction
+// keeps all but its pair's bits and sets none, an RP of process k keeps
+// every bit and sets bit k.  The entry state (all ones with rule R4
+// active: the next RP re-forms a line at once) is exactly x == all ones,
+// because an interaction always clears bits and an RP that fills the
+// mask forms the line.  So the step needs no test of the event's kind:
+// it counts the RP into per-category counters (an interaction's are
+// dummies that no line reads), with "state-changing" computed from x
+// before the step (at the entry state or with bit k clear), and its one
+// branch is x == all ones, a formed line (about once per 3,700 events at
+// fig5's n=6, rho=2).
 //
 // run_lines without an error process reads the event stream in fixed
 // blocks, each in three stages:
@@ -37,7 +43,7 @@
 //      draws: a pure function of them (~27 ns per event on a 4-core
 //      Xeon);
 //   3. the observer - t += delay in event order, then the mask and the
-//      line statistics, serial (~7 ns per event).
+//      line statistics, serial (~4 ns per event).
 //
 // Helper threads may run stage 2 for blocks ahead of the observer: the
 // observer steps the engine past a block (stage 1) and publishes the
@@ -60,6 +66,14 @@
 // an error process the error draws interleave with the events by time,
 // so those streams draw each event on demand and feed it through the
 // same observer step.
+//
+// Which block a helper takes: the newest announced one, the block the
+// observer reaches last.  Helpers then work ahead of the observer, and
+// the observer computes the unclaimed blocks nearest to it.  Taking the
+// oldest block instead handed a helper the very block the observer was
+// about to reach; the observer then found it half done and computed it
+// again (with one helper, about half of the ~18,000 blocks of fig5's
+// straggler), so a second thread bought only ~1.2x.
 #pragma once
 
 #include <cstdint>
@@ -90,6 +104,14 @@ struct AsyncSimResult {
   // RunningStats, so the merge is the Chan et al. combine throughout.
   // Both results must come from the same process count (RBX_CHECKed).
   void merge(const AsyncSimResult& other);
+};
+
+// The model observer's step for one event category:
+// mask = (mask & keep) | set.  An RP of process k keeps every bit and sets
+// bit k; an interaction clears its pair's bits and sets none.
+struct CategoryStep {
+  std::size_t keep;
+  std::size_t set;
 };
 
 struct ExactLineResult {
@@ -142,9 +164,9 @@ class AsyncRbSimulator {
   Rng rng_;
   std::vector<std::pair<std::size_t, std::size_t>> pairs_;  // rate > 0
   CategoricalTable table_;         // mu_0..mu_{n-1}, then each pair's rate
-  std::vector<std::size_t> bits_;  // the processes category k touches
-  // Per-line RP counters, reused across run_lines calls (reset at every
-  // line) instead of allocating per run.
+  std::vector<CategoryStep> steps_;  // the model observer's, per category
+  // Per-category RP counters, reused across run_lines calls (reset at
+  // every line) instead of allocating per run.
   std::vector<std::size_t> incl_scratch_;
   std::vector<std::size_t> state_changing_scratch_;
 };

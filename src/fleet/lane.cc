@@ -107,11 +107,9 @@ std::size_t FleetLane::live() const {
 }
 
 void FleetLane::start(std::size_t cell_count, const CellFn& cell_fn,
-                      std::size_t eval_threads,
                       std::vector<LaneWorker*>* out) {
   (void)cell_count;
   (void)cell_fn;  // fleet daemons evaluate plans, never local closures
-  (void)eval_threads;  // each daemon owns its budget (--eval-threads)
   if (!resolved_) {
     resolved_ = true;
     GrantResponse grant;

@@ -78,7 +78,6 @@ class FleetLane final : public Lane {
   // grants nothing) and connects every member.  Later calls reuse the
   // persistent connections.
   void start(std::size_t cell_count, const CellFn& cell_fn,
-             std::size_t eval_threads,
              std::vector<LaneWorker*>* out) override;
   void finish() override;  // keeps connections (persistent lane)
 

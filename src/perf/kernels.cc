@@ -11,7 +11,7 @@
 //             "hybrid" backend - the units every sweep, shard and
 //             cluster run multiplies - and streamed Monte-Carlo cells
 //             (async, fig5's straggler, a long-history PRP cell) at
-//             thread budgets 4 and 1
+//             thread budgets 4 and 1, the straggler also at 2
 //   des       the three simulators' inner event loops, plus the exact
 //             pairwise recovery-line observer behind ABL-LINE
 //   trace     the exact recovery-line fixpoint and the rollback analysis
@@ -598,6 +598,20 @@ void register_default_kernels(KernelRegistry& registry) {
                                          .samples(200);
                   return [s]() -> double {
                     EvalContextScope scope(EvalContext{4});
+                    const ResultSet r = monte_carlo_backend().evaluate(s);
+                    return r.value("mean_interval_x");
+                  };
+                },
+                /*threads=*/1});
+
+  // The same cell at a thread budget of 2: one helper, the pipeline's
+  // state while the rest of a thread lane's workers still hold cells.
+  registry.add({"mc_straggler_cell_b2", "core", [] {
+                  const Scenario s = Scenario::symmetric(6, 1.0, 0.8)
+                                         .seed(0x5eed)
+                                         .samples(200);
+                  return [s]() -> double {
+                    EvalContextScope scope(EvalContext{2});
                     const ResultSet r = monte_carlo_backend().evaluate(s);
                     return r.value("mean_interval_x");
                   };

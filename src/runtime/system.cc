@@ -241,6 +241,7 @@ struct RecoverySystem::Impl {
     const std::uint64_t gen = resume_gen;
     control_cv.wait(lock, [this, gen] { return resume_gen != gen; });
     --parked;
+    control_cv.notify_all();  // the coordinator waits for parked == 0
     static_cast<void>(w);
   }
 
@@ -405,13 +406,19 @@ struct RecoverySystem::Impl {
       affected_processes.add(static_cast<double>(affected_count));
     }
 
+    // Resume, then wait until every parked worker has left maybe_park.
+    // Returning earlier would release recovery_mu while `parked` still
+    // counts workers that are already running again, and the next
+    // coordinator (this thread included) would take them for parked and
+    // restore their state and stores under their feet.
     {
-      const std::scoped_lock lock(control_mu);
+      std::unique_lock lock(control_mu);
       pause = false;
       pause_hint.store(false, std::memory_order_relaxed);
       ++resume_gen;
+      control_cv.notify_all();
+      control_cv.wait(lock, [this] { return parked == 0; });
     }
-    control_cv.notify_all();
   }
 
   // ------------------------------------------------------------------

@@ -3,8 +3,8 @@
 // backends must produce bitwise identical ResultSets under any intra-cell
 // thread budget and on any lane, because work is partitioned by RNG
 // sub-stream - never by thread - and partials merge in fixed stream
-// order.  The adaptive lane budget (Lane::start eval_threads = 0) is
-// pinned here too: a lane clamped to fewer workers than its configured
+// order.  The adaptive lane budget (each lane's Lane::start) is pinned
+// here too: a lane clamped to fewer workers than its configured
 // parallelism hands the freed threads to the survivors' stream pools,
 // and a ThreadLane's idle workers lend their threads to the cells still
 // running.

@@ -95,8 +95,10 @@ std::uint64_t runs_digest(AsyncRbSimulator& sim, std::size_t lines,
 
 TEST(ResultDigest, AsyncStraggler) {
   // fig5's n=6, rho=2 cell shape: ~3,700 events per line, 21 categories.
-  // A streams=1 cell gives thread_budget - 1 helpers to its pipeline.
-  for (std::size_t budget : {1u, 2u, 4u}) {
+  // A streams=1 cell gives thread_budget - 1 helpers to its pipeline:
+  // none, one (helpers work ahead of the observer, which computes the
+  // blocks nearest it), two and three.
+  for (std::size_t budget : {1u, 2u, 3u, 4u}) {
     EXPECT_EQ(
         mc_digest(Scenario::symmetric(6, 1.0, 0.8).seed(7).samples(5000),
                   budget),

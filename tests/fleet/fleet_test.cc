@@ -310,7 +310,7 @@ TEST(FleetLaneTest, RequiredLaneFailsLoudlyOnAnEmptyRegistry) {
   TestRegistry registry;  // no members
   fleet::FleetLane lane(fleet_options(registry.endpoint()));
   std::vector<LaneWorker*> workers;
-  EXPECT_THROW(lane.start(10, CellFn(), 0, &workers), net::Error);
+  EXPECT_THROW(lane.start(10, CellFn(), &workers), net::Error);
 }
 
 TEST(FleetLaneTest, OptionalLaneSurvivesAnUnreachableRegistry) {
@@ -325,7 +325,7 @@ TEST(FleetLaneTest, OptionalLaneSurvivesAnUnreachableRegistry) {
   options.connect_retries = 0;
   fleet::FleetLane lane(options);
   std::vector<LaneWorker*> workers;
-  lane.start(10, CellFn(), 0, &workers);
+  lane.start(10, CellFn(), &workers);
   EXPECT_TRUE(workers.empty());
 }
 

@@ -5,9 +5,14 @@
 // distributed analogue of backward error recovery).  Workers here are
 // real WorkerServer instances on loopback sockets inside threads - the
 // same code tools/sweep_workerd.cc runs.
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -83,6 +88,59 @@ struct PoolWorker {
 
   net::WorkerServer server;
   std::thread thread;
+};
+
+// A frame relay in front of one worker, so a test can order two workers'
+// traffic: it accepts one coordinator connection, connects it to `target`
+// and forwards every frame both ways, each direction on its own thread.
+// `on_request` sees each coordinator -> worker frame before it is
+// forwarded, `on_answer` each worker -> coordinator frame.  Either side
+// hanging up (or a worker that cannot be reached, or corrupt framing)
+// ends both directions, which the sweep sees as a lost worker.
+class Relay {
+ public:
+  using Hook = std::function<void(const wire::Frame&)>;
+
+  Relay(net::Endpoint target, Hook on_request, Hook on_answer)
+      : thread_([this, target = std::move(target),
+                 on_request = std::move(on_request),
+                 on_answer = std::move(on_answer)]() {
+          net::FrameConn coordinator(listener_.accept_client());
+          net::Socket sock;
+          try {
+            sock = net::connect_to(target);
+          } catch (const net::Error&) {
+            return;  // closes the coordinator's connection
+          }
+          net::FrameConn worker(std::move(sock));
+          std::thread answers(
+              [&]() { forward(worker, coordinator, on_answer); });
+          forward(coordinator, worker, on_request);
+          answers.join();
+        }) {}
+  ~Relay() { thread_.join(); }
+
+  net::Endpoint endpoint() const { return {"127.0.0.1", listener_.port()}; }
+
+ private:
+  static void forward(FrameChannel& from, FrameChannel& to, const Hook& hook) {
+    wire::Frame frame;
+    try {
+      while (from.recv(&frame)) {
+        hook(frame);
+        if (!to.send(frame.type, frame.payload)) {
+          break;
+        }
+      }
+    } catch (const wire::Error&) {
+      // Corrupt framing: hang up both ways, as a worker would.
+    }
+    from.abort();
+    to.abort();
+  }
+
+  net::Listener listener_{0};
+  std::thread thread_;  // last: runs on the listener
 };
 
 DispatchOptions batch_of(std::size_t batch) {
@@ -245,12 +303,35 @@ TEST(ConnectLaneTest, StealsStragglerTailAndStaysBitwise) {
   // takes - so its cells are still in flight when the queue drains and
   // the fast worker must steal them to finish.
   TestWorker slow(/*fail_after=*/0, /*delay_ms=*/800);
+  // A latch on the relays: the fast worker's answers wait until the
+  // straggler has its first batch.  Without it a loaded machine could let
+  // the fast worker drain the grid before the straggler answered its
+  // Hello, leaving nothing to steal.  The wait is bounded so a broken
+  // sweep fails the assertions below instead of hanging.
+  std::mutex latch_mutex;
+  std::condition_variable latch_cv;
+  bool straggler_has_work = false;
+  const Relay::Hook pass = [](const wire::Frame&) {};
+  Relay slow_relay(slow.endpoint(), [&](const wire::Frame& frame) {
+    if (frame.type == kFrameCellBatch) {
+      const std::lock_guard<std::mutex> lock(latch_mutex);
+      straggler_has_work = true;
+      latch_cv.notify_all();
+    }
+  }, pass);
+  Relay fast_relay(fast.endpoint(), pass, [&](const wire::Frame& frame) {
+    if (frame.type == kFrameResultBatch) {
+      std::unique_lock<std::mutex> lock(latch_mutex);
+      latch_cv.wait_for(lock, std::chrono::seconds(30),
+                        [&]() { return straggler_has_work; });
+    }
+  });
   {
     DispatchOptions options = batch_of(1);
     options.steal = true;
     lane_sets::RemoteSweep sweep(
-        lane_sets::connect({fast.endpoint(), slow.endpoint()}), plan,
-        options);
+        lane_sets::connect({fast_relay.endpoint(), slow_relay.endpoint()}),
+        plan, options);
     const HybridExecutor& cluster = sweep.executor;
 
     // Sweep 1: the straggler holds its batch, the fast worker drains the

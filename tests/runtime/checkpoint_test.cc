@@ -87,6 +87,28 @@ TEST(CheckpointStore, PurgeKeepsTwoGenerations) {
   EXPECT_EQ(purged, 2u);
 }
 
+TEST(CheckpointStore, PurgeKeepsOneSnapshotPerReplayedImplant) {
+  // A rollback restored an inbox that still held owner 1's implant
+  // requests for RPs 2 and 3, so both were implanted again after the first
+  // copies.  Per owner, purge keeps the PRPs of its two newest RPs, one
+  // snapshot each - the newest copy, the one the rollback planner reaches.
+  CheckpointStore store(0);
+  store.save(rp(10, 1));
+  store.save(prp(11, 1, 2));
+  store.save(prp(12, 1, 3));
+  store.save(prp(13, 1, 2));
+  store.save(prp(14, 1, 3));
+
+  EXPECT_EQ(store.purge(), 2u);
+  EXPECT_EQ(store.count(), 3u);
+  EXPECT_EQ(store.by_ticket(11), nullptr);
+  EXPECT_EQ(store.by_ticket(12), nullptr);
+  ASSERT_NE(store.prp_for(1, 2), nullptr);
+  EXPECT_EQ(store.prp_for(1, 2)->ticket, 13u);
+  ASSERT_NE(store.prp_for(1, 3), nullptr);
+  EXPECT_EQ(store.prp_for(1, 3)->ticket, 14u);
+}
+
 TEST(CheckpointStore, PurgeIdempotent) {
   CheckpointStore store(0);
   store.save(rp(10, 1));
