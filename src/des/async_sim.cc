@@ -46,6 +46,7 @@ std::vector<double> event_rates(
 // straight off the generator.  The solo block stays small because its
 // draws past the last line are wasted work on the only thread.
 constexpr std::size_t kBlock = 1024;
+static_assert(2 * kBlock == 2048, "stage 1 skips a block with jump_2048");
 constexpr std::size_t kSoloBlock = 256;
 // Blocks read ahead of the observer; helpers beyond kDepth - 1 would find
 // nothing to take.  Look-ahead memory: kDepth * kBlock * 12 B = 96 KB.
@@ -62,15 +63,17 @@ struct Events {
 };
 
 // Stages 1 and 2 for `size` events drawn from `rng`, which advances past
-// them: each event's delay and category are drawn exactly as the
-// on-demand path draws them.
+// them: each event's uniform() and category are drawn in stream order,
+// then one exponential_block call turns the uniforms into the delays
+// Rng::exponential(total) gives, bit for bit - the events the on-demand
+// path would draw.
 void draw_events(Rng& rng, const CategoricalTable& table, std::size_t size,
                  double* delay, std::uint32_t* category) {
-  const double total = table.total();
   for (std::size_t i = 0; i < size; ++i) {
-    delay[i] = rng.exponential(total);
+    delay[i] = rng.uniform();
     category[i] = static_cast<std::uint32_t>(table.sample(rng));
   }
+  exponential_block(delay, size, table.total());
 }
 
 // Stage 1 alone: steps `rng` past `size` events.
@@ -177,8 +180,9 @@ class EventPipeline {
     }
   }
 
-  // Stage 1 for every free slot while helpers work: the generator steps
-  // past the block and the slot records where it started.
+  // Stage 1 for every free slot while helpers work: the generator jumps
+  // past the block's 2 * kBlock draws and the slot records where it
+  // started.
   void announce() {
     if (active_count_ == 0) {
       return;
@@ -188,7 +192,7 @@ class EventPipeline {
         continue;
       }
       slot.start = head_;
-      skip_events(head_, kBlock);
+      head_.engine().jump_2048();
       const std::uint64_t id = next_id_++;
       slot.tag.store(id << 3 | kAnnounced, std::memory_order_release);
       queued_.push_back({&slot, id});
@@ -454,8 +458,18 @@ ExactLineResult AsyncRbSimulator::run_exact(std::size_t events) {
   double last_advance = 0.0;
   double last_refresh = 0.0;
 
+  // Exactly `events` events: stages 1 and 2 in blocks, the last one
+  // partial, so nothing is read ahead.
+  std::array<double, kBlock> delay;
+  std::array<std::uint32_t, kBlock> category;
   for (std::size_t e = 0; e < events; ++e) {
-    const std::size_t k = next_event(t);
+    const std::size_t i = e % kBlock;
+    if (i == 0) {
+      draw_events(rng_, table_, std::min(kBlock, events - e), delay.data(),
+                  category.data());
+    }
+    t += delay[i];
+    const std::size_t k = category[i];
     // Model observer: an interaction clears its pair's bits; an RP forms
     // a line at the entry state or when it sets the last clear bit.
     mask = (mask & steps_[k].keep) | steps_[k].set;

@@ -36,36 +36,41 @@
 // run_lines without an error process reads the event stream in fixed
 // blocks, each in three stages:
 //
-//   1. raw draws - the engine's two next() per event, serial (~1 ns per
-//      event);
-//   2. delay and category - Rng::exponential(total), whose log1p is
-//      ~24 of these ns, and CategoricalTable::sample on the event's two
-//      draws: a pure function of them (~27 ns per event on a 4-core
-//      Xeon);
+//   1. raw draws - serial: the engine jumps past a block a helper will
+//      compute (Xoshiro256StarStar::jump_2048: its 2 * 1,024 draws in
+//      ~0.9 us, against ~3.2 us for 2,048 next() calls), and steps
+//      through a block the observer computes itself;
+//   2. delay and category - each event's uniform() and
+//      CategoricalTable::sample draws, then one exponential_block call
+//      turns the block's uniforms into Rng::exponential(total)'s delays,
+//      bit for bit, four lanes at a time where AVX2 and FMA are usable
+//      (support/rng.h): a pure function of the events' draws (~12 ns per
+//      event on a 4-core Xeon, against ~32 ns with one Rng::exponential
+//      per event, whose log1p was most of them);
 //   3. the observer - t += delay in event order, then the mask and the
 //      line statistics, serial (~4 ns per event).
 //
 // Helper threads may run stage 2 for blocks ahead of the observer: the
-// observer steps the engine past a block (stage 1) and publishes the
+// observer jumps the engine past a block (stage 1) and publishes the
 // engine state at its start, and a helper replays the block's draws from
 // that state.  Why the bytes cannot move: without an error process no
-// draw depends on the simulator's state, so event i always takes draws
-// 2i and 2i+1 of the stream - reading ahead changes when they are drawn,
-// never which.  Stage 2 is the per-event loop's arithmetic on those two
-// draws and reads nothing else, so whichever thread computes a block
-// produces the same delays and categories, bit for bit; stage 3 adds
-// them to t in event order on one thread, exactly as the per-event loop
-// did.  The observer never waits on a helper: a block that no helper
+// draw depends on the simulator's state, so event i always takes draws 2i
+// and 2i+1 of the stream - reading ahead changes when they are drawn,
+// never which.  Stage 2 computes, bit for bit, what the per-event loop
+// computes from those two draws and reads nothing else, so whichever
+// thread computes a block produces the same delays and categories; stage
+// 3 adds them to t in event order on one thread, exactly as the per-event
+// loop did.  The observer never waits on a helper: a block that no helper
 // has finished when the observer reaches it is computed by the observer
-// itself (a duplicate result is harmless).  When the last line forms,
-// the engine is rewound to the state right after the last event
-// consumed, so back-to-back run_lines calls continue the stream as if no
-// block were read ahead.  With no helpers the same loop runs the three
-// stages in turn on one thread, in blocks of 256 events (the draws past
-// the last line are wasted work, so the solo block stays small).  With
-// an error process the error draws interleave with the events by time,
-// so those streams draw each event on demand and feed it through the
-// same observer step.
+// itself (a duplicate result is harmless).  When the last line forms, the
+// engine is rewound to the state right after the last event consumed, so
+// back-to-back run_lines calls continue the stream as if no block were
+// read ahead.  With no helpers the same loop runs the three stages in
+// turn on one thread, in blocks of 256 events (the draws past the last
+// line are wasted work, so the solo block stays small).  With an error
+// process the error draws interleave with the events by time, so those
+// streams draw each event on demand and feed it through the same observer
+// step.
 //
 // Which block a helper takes: the newest announced one, the block the
 // observer reaches last.  Helpers then work ahead of the observer, and
@@ -74,6 +79,15 @@
 // about to reach; the observer then found it half done and computed it
 // again (with one helper, about half of the ~18,000 blocks of fig5's
 // straggler), so a second thread bought only ~1.2x.
+//
+// The floor at fig5's straggler shape (n=6, rho=2; the mc_straggler_cell
+// kernels, ~740,000 events): one thread spends ~17 ns per event on the
+// three stages, and three helpers bring the cell to ~7 ns per event.
+// Stage 2's ~12 ns per event spread over three helpers is ~4 ns per
+// event, less than what the observer spends itself (stage 3, the jumps,
+// reading blocks other cores wrote), so the observer sets the pace;
+// stepping 2,048 next() calls per announced block instead of jumping
+// kept it observer-bound at a lower speed.
 #pragma once
 
 #include <cstdint>
@@ -154,12 +168,6 @@ class AsyncRbSimulator {
   ExactLineResult run_exact(std::size_t events);
 
  private:
-  // Advances t to the next event and returns its category.
-  std::size_t next_event(double& t) {
-    t += rng_.exponential(table_.total());
-    return table_.sample(rng_);
-  }
-
   ProcessSetParams params_;
   Rng rng_;
   std::vector<std::pair<std::size_t, std::size_t>> pairs_;  // rate > 0

@@ -12,6 +12,8 @@
 //             cluster run multiplies - and streamed Monte-Carlo cells
 //             (async, fig5's straggler, a long-history PRP cell) at
 //             thread budgets 4 and 1, the straggler also at 2
+//   rng       the event pipeline's delay transform over one block:
+//             exponential_block against Rng::exponential per draw
 //   des       the three simulators' inner event loops, plus the exact
 //             pairwise recovery-line observer behind ABL-LINE
 //   trace     the exact recovery-line fixpoint and the rollback analysis
@@ -441,6 +443,39 @@ void register_default_kernels(KernelRegistry& registry) {
                     return r.value("hybrid_distance");
                   };
                 }});
+
+  // --- rng --------------------------------------------------------------
+  // Stage 2's delays for one 1,024-event block of the asynchronous event
+  // pipeline (des/async_sim.h), at fig5's straggler's total rate: fresh
+  // uniform() draws through exponential_block, against the same number
+  // of Rng::exponential calls - bitwise the same delays.  Pinned to one
+  // closure: the pair's ratio is a per-core speedup.
+  registry.add({"rng_exponential_block", "rng",
+                [] {
+                  auto rng = std::make_shared<Rng>(0x5eed);
+                  auto delay = std::make_shared<std::vector<double>>(1024);
+                  return [rng, delay]() -> double {
+                    for (double& d : *delay) {
+                      d = rng->uniform();
+                    }
+                    exponential_block(delay->data(), delay->size(), 18.0);
+                    return delay->back();
+                  };
+                },
+                /*threads=*/1});
+
+  registry.add({"rng_exponential", "rng",
+                [] {
+                  auto rng = std::make_shared<Rng>(0x5eed);
+                  auto delay = std::make_shared<std::vector<double>>(1024);
+                  return [rng, delay]() -> double {
+                    for (double& d : *delay) {
+                      d = rng->exponential(18.0);
+                    }
+                    return delay->back();
+                  };
+                },
+                /*threads=*/1});
 
   // --- des --------------------------------------------------------------
   registry.add({"des_async_lines", "des", [] {

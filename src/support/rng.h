@@ -13,7 +13,12 @@
 // The per-event draws of the simulators (next, uniform, exponential) are
 // defined inline here so the event loops in des/ can inline them, and a
 // CategoricalTable replaces the O(weights) categorical scan with an O(1)
-// lookup that returns the same index for every generator state.
+// lookup that returns the same index for every generator state.  Two more
+// pieces serve loops that read the stream in blocks (des/async_sim.h):
+// exponential_block turns a block of uniform() draws into
+// Rng::exponential's delays, four lanes at a time where the CPU allows,
+// bit for bit, and Xoshiro256StarStar::jump_2048 skips a block's 2048
+// steps in one jump.
 #pragma once
 
 #include <array>
@@ -82,14 +87,27 @@ class Xoshiro256StarStar {
   static constexpr std::uint64_t min() { return 0; }
   static constexpr std::uint64_t max() { return ~0ULL; }
 
-  // Advances the stream by 2^128 steps; used to derive independent
-  // per-process streams from one master seed.
+  // Advances the stream by 2^192 steps (Vigna's LONG_JUMP); used to
+  // derive independent per-process streams from one master seed.
   void long_jump();
+
+  // Advances the stream by 2048 steps, as 2048 next() calls would, in one
+  // jump: about a third of their cost.
+  void jump_2048();
 
   // Equal states generate equal streams.
   bool operator==(const Xoshiro256StarStar&) const = default;
 
  private:
+  // A jump of N steps: `poly` holds the coefficients of x^N mod P(x), P
+  // the engine's degree-256 characteristic polynomial (bit b of word w is
+  // the coefficient of x^(64w+b)), and the new state is the sum over GF(2)
+  // of the states after b steps for every set bit b.  The constants come
+  // from Berlekamp-Massey on one state bit (Blackman & Vigna, "Scrambled
+  // linear pseudorandom number generators", ACM TOMS 2021); the same
+  // derivation gives x^(2^128) = Vigna's JUMP and x^(2^192) = LONG_JUMP.
+  void jump(const std::array<std::uint64_t, 4>& poly);
+
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
@@ -136,7 +154,9 @@ class Rng {
   std::size_t categorical(const double* weights, std::size_t count);
 
   // Derives an independent generator for a sub-component (e.g. a per-process
-  // stream) without disturbing this stream's reproducibility contract.
+  // stream) without disturbing this stream's reproducibility contract: the
+  // child starts 2^192 steps ahead (long_jump), and this stream advances
+  // by one step.
   Rng split();
 
   Xoshiro256StarStar& engine() { return engine_; }
@@ -144,6 +164,35 @@ class Rng {
  private:
   Xoshiro256StarStar engine_;
 };
+
+// Rng::exponential over a block of its draws, bit for bit: replaces every
+// values[i] with -std::log1p(-values[i]) / rate, the delay
+// Rng::exponential(rate) returns when uniform() yields values[i].  rate
+// must be positive.
+//
+// Exactness contract.  Built by GCC for x86-64 glibc, and where AVX2 and FMA
+// are usable (the condition glibc's resolver tests, checked on every call
+// rather than cached in a function-local static, whose guard a fork child
+// could inherit held), four lanes at a time run a branch-free port of the
+// FMA variant of glibc's log1p, the one its resolver picks on such a CPU
+// (s_log1p.c; read from glibc 2.36's libm), operation for operation: the
+// same IEEE operations in the same order, with the same 8 fused
+// multiply-adds of its main paths and no other, and its branches turned into
+// lane selects.  The compiler is told not to contract any other multiply and
+// add into an FMA (contraction moved about one draw in a hundred).  A lane
+// that would take one of log1p's rare paths (a draw below 2^-29, one outside
+// [0, 1), or |f| < 2^-20 after normalising) and the block's last count % 4
+// draws go through std::log1p itself, as does every draw elsewhere.  So the
+// contract holds for every double in `values`, not only for uniform() draws.
+// It is pinned draw for draw against Rng::exponential by
+// tests/support/exponential_block_test.cc, whose cases run where
+// exponential_block_vectorized(); a libm whose FMA log1p computes
+// differently (another build of it, or GLIBC_TUNABLES hiding FMA from its
+// resolver) fails that test.
+void exponential_block(double* values, std::size_t count, double rate);
+
+// True when exponential_block runs its four-lane port on this CPU.
+bool exponential_block_vectorized();
 
 // Rng::categorical's selection rule as a pure function of its draw: the
 // index categorical(weights, count) returns when uniform() yields `unit`.

@@ -60,6 +60,34 @@ TEST(Xoshiro, LongJumpChangesStream) {
   EXPECT_EQ(same, 0);
 }
 
+TEST(Xoshiro, LongJumpOutputIsPinned) {
+  // Recorded before long_jump and jump_2048 shared one loop: a changed
+  // value means a moved stream for every Rng::split child.
+  Xoshiro256StarStar e(7);
+  e.long_jump();
+  EXPECT_EQ(e.next(), 0x15a4ddfb90a82407ULL);
+  EXPECT_EQ(e.next(), 0x3a98ff3dc03a1ed8ULL);
+  EXPECT_EQ(e.next(), 0x6e147244fa7a2bddULL);
+  EXPECT_EQ(e.next(), 0xa2f7948237254c72ULL);
+}
+
+TEST(Xoshiro, Jump2048EqualsSteppingFromRandomStates) {
+  SplitMix64 seeds(0x2048);
+  for (int trial = 0; trial < 10000; ++trial) {
+    Xoshiro256StarStar stepped(seeds.next());
+    // Start mid-stream too, not only at a freshly seeded state.
+    for (std::uint64_t i = trial % 7; i > 0; --i) {
+      stepped.next();
+    }
+    Xoshiro256StarStar jumped = stepped;
+    for (int i = 0; i < 2048; ++i) {
+      stepped.next();
+    }
+    jumped.jump_2048();
+    ASSERT_TRUE(jumped == stepped) << "trial " << trial;
+  }
+}
+
 TEST(Rng, UniformInUnitInterval) {
   Rng rng(123);
   for (int i = 0; i < 10000; ++i) {
