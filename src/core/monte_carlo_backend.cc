@@ -134,10 +134,10 @@ SyncSimResult run_sync(const Scenario& s) {
 
 void evaluate_sync(const Scenario& s, ResultSet& out) {
   const SyncSimResult r = run_sync(s);
-  set_sample(out, "sync_mean_max_wait", r.max_wait);
-  set_sample(out, "sync_mean_loss", r.loss);
-  set_sample(out, "sync_line_spacing", r.line_spacing);
-  set_sample(out, "sync_states_per_line", r.states_per_line);
+  set_stats(out, "sync_mean_max_wait", r.max_wait);
+  set_stats(out, "sync_mean_loss", r.loss);
+  set_stats(out, "sync_line_spacing", r.line_spacing);
+  set_stats(out, "sync_states_per_line", r.states_per_line);
   out.set("sync_states_per_line_sd", r.states_per_line.stddev());
   out.set("sync_loss_rate", r.loss_rate);
   if (s.error_rate() > 0.0) {
@@ -164,12 +164,12 @@ void evaluate_prp(const Scenario& s, ResultSet& out) {
   const PrpSimResult r = run_prp(s);
   set_sample(out, "prp_distance", r.prp_distance);
   out.set("prp_distance_p95", r.prp_distance.quantile(0.95));
-  set_sample(out, "prp_affected", r.prp_affected);
-  set_sample(out, "prp_iterations", r.prp_iterations);
+  set_stats(out, "prp_affected", r.prp_affected);
+  set_stats(out, "prp_iterations", r.prp_iterations);
   out.set("prp_iterations_max", r.prp_iterations.max());
   set_sample(out, "async_distance", r.async_distance);
   out.set("async_distance_p95", r.async_distance.quantile(0.95));
-  set_sample(out, "async_affected", r.async_affected);
+  set_stats(out, "async_affected", r.async_affected);
   out.set("async_domino_count", static_cast<double>(r.async_domino_count));
   out.set("failures", static_cast<double>(r.failures));
   out.set("contaminated_restarts",

@@ -51,11 +51,11 @@ struct PrpSimParams {
 struct PrpSimResult {
   // Pseudo-recovery-point scheme.
   SampleSet prp_distance;        // sup rollback distance per failure
-  SampleSet prp_affected;        // processes rolled back per failure
-  SampleSet prp_iterations;      // pointer-loop iterations per failure
+  RunningStats prp_affected;     // processes rolled back per failure
+  RunningStats prp_iterations;   // pointer-loop iterations per failure
   // Plain asynchronous RBs on the same failures.
   SampleSet async_distance;
-  SampleSet async_affected;
+  RunningStats async_affected;
   std::size_t async_domino_count = 0;   // failures that reached t = 0
   std::size_t failures = 0;
   // Every PRP restart line was verified clean against ground truth.

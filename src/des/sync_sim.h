@@ -38,11 +38,11 @@ struct SyncSimParams {
 };
 
 struct SyncSimResult {
-  SampleSet max_wait;           // Z per synchronization
-  SampleSet loss;               // sum_i (Z - y_i) per synchronization
-  SampleSet line_spacing;       // time between successive recovery lines
-  SampleSet states_per_line;    // RPs recorded between lines (+ n at line)
-  SampleSet rollback_distance;  // per injected error (empty if rate 0)
+  RunningStats max_wait;         // Z per synchronization
+  RunningStats loss;             // sum_i (Z - y_i) per synchronization
+  RunningStats line_spacing;     // time between successive recovery lines
+  RunningStats states_per_line;  // RPs recorded between lines (+ n at line)
+  SampleSet rollback_distance;   // per injected error (empty if rate 0)
 
   // Loss per unit time: total loss / total simulated time.
   double loss_rate = 0.0;

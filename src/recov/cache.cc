@@ -1,55 +1,32 @@
 #include "recov/cache.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <utility>
-
-#include "recov/journal.h"
-#include "support/io.h"
+#include <vector>
 
 namespace rbx {
 namespace recov {
 
 namespace {
 
-std::vector<std::byte> encode_scenario(const Scenario& scenario) {
+// A scenario's or plan's wire encoding, the bytes a cell is keyed by.
+template <typename T>
+std::string encoding(const T& value) {
   wire::Writer w;
-  scenario.encode(w);
-  return w.data();
+  value.encode(w);
+  const std::vector<std::byte>& data = w.data();
+  return std::string(reinterpret_cast<const char*>(data.data()), data.size());
 }
 
-std::vector<std::byte> encode_plan(const EvalPlan& plan) {
-  wire::Writer w;
-  plan.encode(w);
-  return w.data();
-}
-
-std::uint64_t fnv1a(std::uint64_t h, const std::vector<std::byte>& data) {
-  for (std::byte b : data) {
-    h ^= static_cast<std::uint8_t>(b);
-    h *= 0x100000001b3ULL;
+// FNV-1a over scenario bytes then plan bytes.
+std::uint64_t fnv1a(const std::string& scenario, const std::string& plan) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::string* data : {&scenario, &plan}) {
+    for (char c : *data) {
+      h ^= static_cast<std::uint8_t>(c);
+      h *= 0x100000001b3ULL;
+    }
   }
   return h;
-}
-
-// A length-prefixed blob (the wire format has str() for strings; blobs
-// reuse the same u32-length framing for raw bytes).
-void put_blob(wire::Writer& w, const std::vector<std::byte>& data) {
-  w.u32(static_cast<std::uint32_t>(data.size()));
-  w.bytes(data.data(), data.size());
-}
-
-std::vector<std::byte> get_blob(wire::Reader& r) {
-  const std::uint32_t size = r.u32();
-  std::vector<std::byte> out;
-  out.reserve(size);
-  for (std::uint32_t i = 0; i < size; ++i) {
-    out.push_back(static_cast<std::byte>(r.u8()));
-  }
-  return out;
 }
 
 // On-disk size of one sealed record: frame header + payload + CRC trailer
@@ -61,200 +38,112 @@ std::size_t record_size(const std::vector<std::byte>& payload) {
 }  // namespace
 
 std::uint64_t cell_key(const Scenario& scenario, const EvalPlan& plan) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv1a(h, encode_scenario(scenario));
-  h = fnv1a(h, encode_plan(plan));
-  return h;
+  return fnv1a(encoding(scenario), encoding(plan));
 }
 
 ResultCache::ResultCache(const std::string& dir, Options options)
-    : path_(dir + "/cache.rbxj"), options_(options) {
+    : writer_(dir + "/cache.rbxj",
+              load(dir + "/cache.rbxj", options.max_bytes)) {}
+
+JournalWriter::Options ResultCache::load(const std::string& path,
+                                         std::size_t max_bytes) {
   // Replay whatever a previous daemon left behind; a missing file is a
-  // fresh cache, a torn tail is the record a kill interrupted.
+  // fresh cache (an unusable directory fails when the writer opens it), a
+  // torn tail is the record a kill interrupted.
   std::vector<std::byte> data;
   try {
-    data = read_file_bytes(path_, "cache");
+    data = read_file_bytes(path, "cache");
   } catch (const wire::Error&) {
-    // Distinguish "no cache yet" from "unusable directory" below, when
-    // the append open fails too.
   }
   const RecordScan scan = scan_records(data.data(), data.size());
-  // Unique record payloads in append order (oldest first): the map
-  // answers lookups; `unique` preserves the age order compaction drops
-  // from.
-  std::vector<const std::vector<std::byte>*> unique;
+  // Each unique entry in append order (oldest first), with its record
+  // payload: compaction drops from the front.
+  std::vector<std::pair<decltype(map_)::iterator,
+                        const std::vector<std::byte>*>>
+      unique;
   for (const wire::Frame& frame : scan.records) {
     if (frame.type != kRecordCacheEntry) {
       throw wire::Error("cache: unexpected record type " +
-                        std::to_string(frame.type) + " in '" + path_ +
+                        std::to_string(frame.type) + " in '" + path +
                         "' (not a result cache?)");
     }
     wire::Reader r(frame.payload);
-    const std::uint64_t key = r.u64();
-    Entry entry;
-    entry.scenario_bytes = get_blob(r);
-    entry.plan_bytes = get_blob(r);
-    entry.result = ResultSet::decode(r);
+    r.u64();  // cell_key: the map keys by the encodings themselves
+    CellBytes cell;
+    cell.first = r.str();
+    cell.second = r.str();
+    ResultSet result = ResultSet::decode(r);
     r.expect_done();
-    const Entry* existing = nullptr;
-    if (!find_locked(key, entry.scenario_bytes, entry.plan_bytes,
-                     &existing)) {
-      unique.push_back(&frame.payload);
-      map_[key].push_back(std::move(entry));
-      ++count_;
+    const auto [it, fresh] =
+        map_.try_emplace(std::move(cell), std::move(result));
+    if (fresh) {
+      unique.emplace_back(it, &frame.payload);
     }
   }
 
   // Size cap: when the file outgrew max_bytes (duplicates, torn bytes, or
   // simply too many entries), drop the oldest unique entries until the
   // rest fit and rewrite the file with exactly the retained records.
-  bool rewritten = false;
-  if (options_.max_bytes > 0 && data.size() > options_.max_bytes) {
+  JournalWriter::Options writer_options;
+  if (max_bytes > 0 && data.size() > max_bytes) {
     std::size_t retained_bytes = 0;
-    for (const std::vector<std::byte>* payload : unique) {
-      retained_bytes += record_size(*payload);
+    for (const auto& entry : unique) {
+      retained_bytes += record_size(*entry.second);
     }
     std::size_t first = 0;
-    while (retained_bytes > options_.max_bytes && first < unique.size()) {
-      retained_bytes -= record_size(*unique[first]);
-      ++first;
-    }
-    for (std::size_t i = 0; i < first; ++i) {
-      // Evict the dropped entry from the map (key + encodings identify it;
-      // the ResultSet does not need re-decoding).
-      wire::Reader r(*unique[i]);
-      const std::uint64_t key = r.u64();
-      const std::vector<std::byte> scenario_bytes = get_blob(r);
-      const std::vector<std::byte> plan_bytes = get_blob(r);
-      auto it = map_.find(key);
-      for (auto e = it->second.begin(); e != it->second.end(); ++e) {
-        if (e->scenario_bytes == scenario_bytes &&
-            e->plan_bytes == plan_bytes) {
-          it->second.erase(e);
-          break;
-        }
-      }
-      if (it->second.empty()) {
-        map_.erase(it);
-      }
-      --count_;
+    for (; retained_bytes > max_bytes && first < unique.size(); ++first) {
+      retained_bytes -= record_size(*unique[first].second);
+      map_.erase(unique[first].first);
     }
     std::vector<std::byte> compacted;
     compacted.reserve(retained_bytes);
     for (std::size_t i = first; i < unique.size(); ++i) {
       const std::vector<std::byte> record =
-          seal_record(kRecordCacheEntry, *unique[i]);
+          seal_record(kRecordCacheEntry, *unique[i].second);
       compacted.insert(compacted.end(), record.begin(), record.end());
     }
-    wire::write_file_atomic(path_, compacted);
-    rewritten = true;
+    wire::write_file_atomic(path, compacted);
+  } else if (scan.torn_tail) {
+    // Cut the record the kill tore, so new appends stay reachable.
+    writer_options.truncate_at = scan.valid_bytes;
   }
-
-  do {
-    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  } while (fd_ < 0 && errno == EINTR);
-  if (fd_ < 0) {
-    throw wire::Error("cache: cannot open '" + path_ + "' for appending: " +
-                      std::strerror(errno) +
-                      " (does the --cache-dir directory exist?)");
-  }
-  if (scan.torn_tail && !rewritten) {
-    // Physically drop the record the kill tore: O_APPEND writes at the end
-    // of the file, and a record appended after torn bytes would be
-    // unreachable (the next load's scan stops at the tear).
-    if (::ftruncate(fd_, static_cast<off_t>(scan.valid_bytes)) != 0) {
-      throw wire::Error("cache: cannot drop the torn tail of '" + path_ +
-                        "': " + std::strerror(errno));
-    }
-  }
-}
-
-ResultCache::~ResultCache() {
-  if (fd_ >= 0) {
-    if (unsynced_ > 0) {
-      ::fsync(fd_);
-    }
-    ::close(fd_);
-  }
-}
-
-bool ResultCache::find_locked(std::uint64_t key,
-                              const std::vector<std::byte>& scenario_bytes,
-                              const std::vector<std::byte>& plan_bytes,
-                              const Entry** out) const {
-  const auto it = map_.find(key);
-  if (it == map_.end()) {
-    return false;
-  }
-  for (const Entry& entry : it->second) {
-    // Confirm the full encodings: a 64-bit hash collision must degrade to
-    // a miss, never to a wrong result.
-    if (entry.scenario_bytes == scenario_bytes &&
-        entry.plan_bytes == plan_bytes) {
-      *out = &entry;
-      return true;
-    }
-  }
-  return false;
+  return writer_options;
 }
 
 bool ResultCache::lookup(const Scenario& scenario, const EvalPlan& plan,
                          ResultSet* out) {
-  const std::vector<std::byte> scenario_bytes = encode_scenario(scenario);
-  const std::vector<std::byte> plan_bytes = encode_plan(plan);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv1a(fnv1a(h, scenario_bytes), plan_bytes);
-
+  const CellBytes cell(encoding(scenario), encoding(plan));
   std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* entry = nullptr;
-  if (find_locked(h, scenario_bytes, plan_bytes, &entry)) {
-    *out = entry->result;
-    ++hits_;
-    return true;
+  const auto it = map_.find(cell);
+  if (it == map_.end()) {
+    ++misses_;
+    return false;
   }
-  ++misses_;
-  return false;
-}
-
-void ResultCache::append_locked(std::uint64_t key, const Entry& entry) {
-  wire::Writer w;
-  w.u64(key);
-  put_blob(w, entry.scenario_bytes);
-  put_blob(w, entry.plan_bytes);
-  entry.result.encode(w);
-  const std::vector<std::byte> record =
-      seal_record(kRecordCacheEntry, w.data());
-  if (!io::write_all(fd_, record)) {
-    throw wire::Error("cache: append to '" + path_ + "' failed");
-  }
-  if (++unsynced_ >= options_.sync_every) {
-    ::fsync(fd_);
-    unsynced_ = 0;
-  }
+  *out = it->second;
+  ++hits_;
+  return true;
 }
 
 void ResultCache::insert(const Scenario& scenario, const EvalPlan& plan,
                          const ResultSet& result) {
-  Entry entry;
-  entry.scenario_bytes = encode_scenario(scenario);
-  entry.plan_bytes = encode_plan(plan);
-  entry.result = result;
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv1a(fnv1a(h, entry.scenario_bytes), entry.plan_bytes);
+  CellBytes cell(encoding(scenario), encoding(plan));
+  wire::Writer w;
+  w.u64(fnv1a(cell.first, cell.second));
+  w.str(cell.first);
+  w.str(cell.second);
+  result.encode(w);
 
   std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* existing = nullptr;
-  if (find_locked(h, entry.scenario_bytes, entry.plan_bytes, &existing)) {
+  if (map_.contains(cell)) {
     return;  // already cached; the evaluations are bitwise identical
   }
-  append_locked(h, entry);
-  map_[h].push_back(std::move(entry));
-  ++count_;
+  writer_.append({kRecordCacheEntry, w.take()}, /*force_sync=*/false);
+  map_.emplace(std::move(cell), result);
 }
 
 std::size_t ResultCache::entries() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return count_;
+  return map_.size();
 }
 
 std::size_t ResultCache::hits() const {

@@ -13,17 +13,20 @@
 // changes.  Coordinators that want fresh evaluation anyway (--no-cache)
 // set a Hello flag and the daemon bypasses lookups for that session.
 //
-// Keying: entries hash by FNV-1a over (scenario encoding || plan
-// encoding) - finer than (grid fingerprint, cell index), so overlapping
-// grids hit on their shared cells - and a lookup confirms the full
-// encodings, so a 64-bit hash collision degrades to a miss, never to a
-// wrong result.
+// Keying: entries are keyed by the cell's full wire form, its scenario
+// and plan encodings - finer than (grid fingerprint, cell index), so
+// overlapping grids hit on their shared cells, and no two cells can ever
+// share a key.
 //
 // Persistence reuses the journal record format (recov/journal.h): the
-// cache file is a sequence of CRC'd kRecordCacheEntry records, appended
-// as cells are evaluated and replayed through the same
-// torn-tail-tolerant analysis scan on startup - killing a daemon
-// mid-append costs at most the torn record.
+// cache file is a sequence of CRC'd kRecordCacheEntry records (cell_key,
+// then the scenario and plan encodings as wire str() blobs, then the
+// ResultSet), appended through the sweep journal's JournalWriter as cells
+// are evaluated and replayed through the same torn-tail-tolerant scan on
+// startup.  So the cache has the journal's durability: killing a daemon
+// mid-append costs at most the torn record, a crash loses at most the
+// writer's `sync_every` unsynced entries, and a failed append or fsync
+// throws wire::Error naming the file.
 //
 // Thread-safe: sweep_workerd serves sessions concurrently, so lookup and
 // insert take an internal mutex (the disk append happens under it too,
@@ -44,14 +47,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "core/backend.h"
 #include "core/result.h"
 #include "core/scenario.h"
+#include "recov/journal.h"
 
 namespace rbx {
 namespace recov {
@@ -62,7 +66,6 @@ std::uint64_t cell_key(const Scenario& scenario, const EvalPlan& plan);
 class ResultCache {
  public:
   struct Options {
-    std::size_t sync_every = 32;  // entries per fsync batch
     // Startup size cap in bytes (0 = unlimited): when the cache file's
     // surviving records exceed this, oldest entries are dropped and the
     // file is compacted before appending resumes.
@@ -74,7 +77,6 @@ class ResultCache {
   // the file cannot be opened/scanned.
   explicit ResultCache(const std::string& dir) : ResultCache(dir, Options()) {}
   ResultCache(const std::string& dir, Options options);
-  ~ResultCache();
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
@@ -92,30 +94,23 @@ class ResultCache {
   std::size_t hits() const;
   std::size_t misses() const;
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return writer_.path(); }
 
  private:
-  struct Entry {
-    std::vector<std::byte> scenario_bytes;
-    std::vector<std::byte> plan_bytes;
-    ResultSet result;
-  };
+  // A cell's wire form: (scenario encoding, plan encoding).
+  using CellBytes = std::pair<std::string, std::string>;
 
-  bool find_locked(std::uint64_t key,
-                   const std::vector<std::byte>& scenario_bytes,
-                   const std::vector<std::byte>& plan_bytes,
-                   const Entry** out) const;
-  void append_locked(std::uint64_t key, const Entry& entry);
+  // Replays `path` into map_, compacting it under `max_bytes`, and returns
+  // the options that open the writer behind the last valid record.
+  JournalWriter::Options load(const std::string& path, std::size_t max_bytes);
 
-  std::string path_;
-  Options options_;
-  int fd_ = -1;
-  mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, std::vector<Entry>> map_;
-  std::size_t count_ = 0;
+  mutable std::mutex mutex_;  // guards every member below
+  std::map<CellBytes, ResultSet> map_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
-  std::size_t unsynced_ = 0;
+  // Declared last: load() fills map_ and rewrites the file before the
+  // writer opens it.
+  JournalWriter writer_;
 };
 
 }  // namespace recov

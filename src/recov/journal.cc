@@ -257,7 +257,7 @@ JournalWriter::JournalWriter(std::string path, Options options)
     fd_ = ::open(path_.c_str(), flags, 0644);
   } while (fd_ < 0 && errno == EINTR);
   if (fd_ < 0) {
-    throw wire::Error("journal: cannot open '" + path_ + "' for appending: " +
+    throw wire::Error("cannot open '" + path_ + "' for appending: " +
                       std::strerror(errno));
   }
   if (!options_.truncate &&
@@ -266,7 +266,7 @@ JournalWriter::JournalWriter(std::string path, Options options)
     // end of the file, so appending behind torn bytes would hide the new
     // records from every later scan.
     if (::ftruncate(fd_, static_cast<off_t>(options_.truncate_at)) != 0) {
-      throw wire::Error("journal: cannot drop the torn tail of '" + path_ +
+      throw wire::Error("cannot drop the torn tail of '" + path_ +
                         "': " + std::strerror(errno));
     }
   }
@@ -283,7 +283,7 @@ JournalWriter::~JournalWriter() {
 
 void JournalWriter::sync() {
   if (fd_ >= 0 && ::fsync(fd_) != 0) {
-    throw wire::Error("journal: fsync of '" + path_ + "' failed: " +
+    throw wire::Error("fsync of '" + path_ + "' failed: " +
                       std::strerror(errno));
   }
   unsynced_ = 0;
@@ -295,7 +295,7 @@ void JournalWriter::append(const wire::Frame& record, bool force_sync) {
   // O_APPEND makes each write land at the current end even if another
   // process appends too; write_all retries EINTR and short writes.
   if (!io::write_all(fd_, sealed)) {
-    throw wire::Error("journal: append to '" + path_ + "' failed");
+    throw wire::Error("append to '" + path_ + "' failed");
   }
   ++unsynced_;
   if (force_sync || unsynced_ >= options_.sync_every) {

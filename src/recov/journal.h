@@ -44,6 +44,12 @@
 // `sync_every` (a crash loses at most that many commits - they are simply
 // re-evaluated on resume), while sweep boundaries always sync.
 //
+// The worker's result cache (recov/cache.h) appends its kRecordCacheEntry
+// records through JournalWriter too, so both files share one open,
+// torn-tail cut, group fsync and sync on close, and a crash loses at most
+// `sync_every` cache entries as well.  A failed open, cut, append or fsync
+// throws wire::Error naming the file.
+//
 // A `--shard=i/k` run journals the cells it owns, so `--merge` is a resume
 // over several journals (recov/resume.h).  `--shard-serve` streams the
 // same records as bare frames (TCP delivers them intact: no CRC), which
@@ -160,12 +166,14 @@ void analyze_record(JournalAnalysis& analysis, const wire::Frame& record);
 // cannot be read at all; tail damage is tolerated as above.
 JournalAnalysis analyze_journal(const std::string& path);
 
-// Append-only journal writer.  Not thread-safe: the dispatch loop commits
-// cells from one thread.
+// Append-only record writer for sweep journals and the result cache.  Not
+// thread-safe: the dispatch loop commits cells from one thread, and the
+// cache appends under its own lock.
 class JournalWriter {
  public:
   struct Options {
-    // Cell records per fsync batch; boundary records always sync.
+    // Cell (or cache) records per fsync batch; boundary records always
+    // sync.
     std::size_t sync_every = 32;
     bool truncate = false;  // start a fresh journal (--journal) instead of
                             // appending to a recovered one (--resume)
@@ -193,12 +201,14 @@ class JournalWriter {
                       const ResultSet& result);
   void sweep_end(std::uint64_t sweep, const SweepEndStats& stats);
 
+  // Seals and appends one record; fsyncs when `force_sync` is set or
+  // `sync_every` records are unsynced.
+  void append(const wire::Frame& record, bool force_sync);
+
   // fsync now (boundary records call this themselves).
   void sync();
 
  private:
-  void append(const wire::Frame& record, bool force_sync);
-
   std::string path_;
   Options options_;
   int fd_ = -1;

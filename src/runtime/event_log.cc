@@ -1,18 +1,14 @@
 #include "runtime/event_log.h"
 
-#include "support/check.h"
-
 namespace rbx {
 
 std::uint64_t EventLog::log_recovery_point(ProcessId p,
                                            std::uint64_t* rp_seq_out) {
   const std::scoped_lock lock(mu_);
-  RBX_CHECK(p < n_);
   const std::uint64_t ticket = next_ticket_++;
-  const std::uint64_t seq = ++rp_counts_[p];
-  entries_.push_back({EventKind::kRecoveryPoint, ticket, p, p, seq});
+  history_.add_recovery_point(p, static_cast<double>(ticket));
   if (rp_seq_out != nullptr) {
-    *rp_seq_out = seq;
+    *rp_seq_out = history_.rp_count(p);
   }
   return ticket;
 }
@@ -20,18 +16,16 @@ std::uint64_t EventLog::log_recovery_point(ProcessId p,
 std::uint64_t EventLog::log_prp(ProcessId p, ProcessId owner,
                                 std::uint64_t owner_seq) {
   const std::scoped_lock lock(mu_);
-  RBX_CHECK(p < n_ && owner < n_ && p != owner);
   const std::uint64_t ticket = next_ticket_++;
-  entries_.push_back(
-      {EventKind::kPseudoRecoveryPoint, ticket, p, owner, owner_seq});
+  history_.add_pseudo_recovery_point(p, static_cast<double>(ticket), owner,
+                                     owner_seq);
   return ticket;
 }
 
 std::uint64_t EventLog::log_interaction(ProcessId a, ProcessId b) {
   const std::scoped_lock lock(mu_);
-  RBX_CHECK(a < n_ && b < n_ && a != b);
   const std::uint64_t ticket = next_ticket_++;
-  entries_.push_back({EventKind::kInteraction, ticket, a, b, 0});
+  history_.add_interaction(a, b, static_cast<double>(ticket));
   return ticket;
 }
 
@@ -42,22 +36,7 @@ std::uint64_t EventLog::now() {
 
 History EventLog::snapshot() const {
   const std::scoped_lock lock(mu_);
-  History h(n_);
-  for (const Entry& e : entries_) {
-    const auto t = static_cast<double>(e.ticket);
-    switch (e.kind) {
-      case EventKind::kRecoveryPoint:
-        h.add_recovery_point(e.process, t);
-        break;
-      case EventKind::kPseudoRecoveryPoint:
-        h.add_pseudo_recovery_point(e.process, t, e.peer, e.rp_seq);
-        break;
-      case EventKind::kInteraction:
-        h.add_interaction(e.process, e.peer, t);
-        break;
-    }
-  }
-  return h;
+  return history_;
 }
 
 std::uint64_t EventLog::last_ticket() const {

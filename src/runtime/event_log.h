@@ -4,13 +4,12 @@
 // deliveries across all threads.  The log hands out monotonically
 // increasing tickets under its lock, so the order the events carry is
 // exactly the order they were appended - a linearization of the concurrent
-// execution.  snapshot() materializes the trace History consumed by the
-// rollback analyzers.
+// execution.  Events go straight into the trace History consumed by the
+// rollback analyzers (time = ticket); snapshot() copies it.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
-#include <vector>
 
 #include "trace/history.h"
 
@@ -18,8 +17,7 @@ namespace rbx {
 
 class EventLog {
  public:
-  explicit EventLog(std::size_t num_processes)
-      : n_(num_processes), rp_counts_(num_processes, 0) {}
+  explicit EventLog(std::size_t num_processes) : history_(num_processes) {}
 
   // Each method returns the ticket assigned to the event.
   std::uint64_t log_recovery_point(ProcessId p, std::uint64_t* rp_seq_out);
@@ -29,25 +27,15 @@ class EventLog {
   // A ticket without an event (used to timestamp failures).
   std::uint64_t now();
 
-  // Materializes the history recorded so far (events get time = ticket).
+  // The history recorded so far (events get time = ticket).
   History snapshot() const;
 
   std::uint64_t last_ticket() const;
 
  private:
-  struct Entry {
-    EventKind kind;
-    std::uint64_t ticket;
-    ProcessId process;
-    ProcessId peer;
-    std::uint64_t rp_seq;
-  };
-
   mutable std::mutex mu_;
-  std::size_t n_;
   std::uint64_t next_ticket_ = 1;
-  std::vector<std::uint64_t> rp_counts_;
-  std::vector<Entry> entries_;
+  History history_;
 };
 
 }  // namespace rbx

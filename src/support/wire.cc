@@ -7,6 +7,8 @@
 #include <cerrno>
 #include <cstdio>
 
+#include "support/io.h"
+
 namespace rbx {
 namespace wire {
 
@@ -217,20 +219,10 @@ void write_file_atomic(const std::string& path,
   if (fd < 0) {
     throw Error("wire: cannot open '" + tmp + "' for writing");
   }
-  const std::byte* p = data.data();
-  std::size_t left = data.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      throw Error("wire: short write to '" + tmp + "'");
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
+  if (!io::write_all(fd, data)) {
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    throw Error("wire: short write to '" + tmp + "'");
   }
   const bool synced = ::fsync(fd) == 0;
   ::close(fd);

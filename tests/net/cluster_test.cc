@@ -58,9 +58,10 @@ CellFn local_fn_for(const PlanFn& plan) {
 // connections, before the worker leaves scope).
 struct TestWorker {
   explicit TestWorker(std::size_t fail_after = 0, std::size_t delay_ms = 0)
-      : server(net::WorkerOptions{/*port=*/0, /*once=*/true, fail_after,
-                                  /*quiet=*/true, /*max_coordinators=*/4,
-                                  delay_ms, /*cache_dir=*/{}}),
+      : server(net::WorkerOptions{.port = 0, .once = true,
+                                  .fail_after = fail_after, .quiet = true,
+                                  .max_coordinators = 4, .delay_ms = delay_ms,
+                                  .cache_dir = {}, .auth_key = {}}),
         thread([this]() { server.serve(); }) {}
   ~TestWorker() { thread.join(); }
 
@@ -75,9 +76,11 @@ struct TestWorker {
 // serve loop; the destructor joins it.
 struct PoolWorker {
   explicit PoolWorker(std::size_t max_coordinators, std::size_t delay_ms = 0)
-      : server(net::WorkerOptions{/*port=*/0, /*once=*/false,
-                                  /*fail_after=*/0, /*quiet=*/true,
-                                  max_coordinators, delay_ms, /*cache_dir=*/{}}),
+      : server(net::WorkerOptions{.port = 0, .once = false,
+                                  .fail_after = 0, .quiet = true,
+                                  .max_coordinators = max_coordinators,
+                                  .delay_ms = delay_ms, .cache_dir = {},
+                                  .auth_key = {}}),
         thread([this]() { server.serve(); }) {}
   ~PoolWorker() {
     server.stop();

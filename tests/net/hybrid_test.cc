@@ -70,9 +70,10 @@ std::vector<ResultSet> direct_reference(const std::vector<Scenario>& cells,
 // its own thread (the tools/sweep_workerd --once mode).
 struct TestWorker {
   explicit TestWorker(std::size_t fail_after = 0, std::size_t delay_ms = 0)
-      : server(net::WorkerOptions{/*port=*/0, /*once=*/true, fail_after,
-                                  /*quiet=*/true, /*max_coordinators=*/4,
-                                  delay_ms, /*cache_dir=*/{}}),
+      : server(net::WorkerOptions{.port = 0, .once = true,
+                                  .fail_after = fail_after, .quiet = true,
+                                  .max_coordinators = 4, .delay_ms = delay_ms,
+                                  .cache_dir = {}, .auth_key = {}}),
         thread([this]() { server.serve(); }) {}
   ~TestWorker() { thread.join(); }
 
@@ -157,18 +158,18 @@ TEST(HybridExecutorTest, RestartedDaemonIsReadmittedMidSweep) {
 
   // Steady worker: 60 ms per batch keeps the sweep alive long enough for
   // the restart and the re-admission backoff to land deterministically.
-  net::WorkerServer steady(net::WorkerOptions{/*port=*/0, /*once=*/false,
-                                              /*fail_after=*/0,
-                                              /*quiet=*/true,
-                                              /*max_coordinators=*/2,
-                                              /*delay_ms=*/60, /*cache_dir=*/{}});
+  net::WorkerServer steady(net::WorkerOptions{.port = 0, .once = false,
+                                              .fail_after = 0, .quiet = true,
+                                              .max_coordinators = 2,
+                                              .delay_ms = 60, .cache_dir = {},
+                                              .auth_key = {}});
   std::thread steady_thread([&]() { steady.serve(); });
 
   // Dying worker: answers one batch, then drops its session and exits.
   auto first = std::make_unique<net::WorkerServer>(
-      net::WorkerOptions{/*port=*/0, /*once=*/true, /*fail_after=*/1,
-                         /*quiet=*/true, /*max_coordinators=*/4,
-                         /*delay_ms=*/0, /*cache_dir=*/{}});
+      net::WorkerOptions{.port = 0, .once = true, .fail_after = 1,
+                         .quiet = true, .max_coordinators = 4,
+                         .delay_ms = 0, .cache_dir = {}, .auth_key = {}});
   const std::uint16_t port = first->port();
   std::thread first_thread([&]() { first->serve(); });
 
@@ -182,9 +183,10 @@ TEST(HybridExecutorTest, RestartedDaemonIsReadmittedMidSweep) {
     for (int attempt = 0; second == nullptr; ++attempt) {
       try {
         second = std::make_unique<net::WorkerServer>(
-            net::WorkerOptions{port, /*once=*/true, /*fail_after=*/0,
-                               /*quiet=*/true, /*max_coordinators=*/4,
-                               /*delay_ms=*/0, /*cache_dir=*/{}});
+            net::WorkerOptions{.port = port, .once = true, .fail_after = 0,
+                               .quiet = true, .max_coordinators = 4,
+                               .delay_ms = 0, .cache_dir = {},
+                               .auth_key = {}});
       } catch (const net::Error&) {
         // The kernel may hold the port for a moment; the re-admission
         // backoff gives us plenty of retries.
