@@ -26,7 +26,7 @@
 // *concurrent* per-op latency - flat scaling keeps it constant, contention
 // shows up as growth.  The registry is the names --kernels= selects from;
 // layers group kernels for reporting ("numerics", "markov", "core",
-// "rng", "des", "trace", "runtime", "wire", "fleet").
+// "rng", "des", "trace", "runtime", "wire", "recov", "fleet").
 #pragma once
 
 #include <cstddef>

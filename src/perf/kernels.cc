@@ -24,6 +24,9 @@
 //   wire      encode/decode of Scenario and ResultSet, seal/parse of a
 //             plan-carrying CellBatch frame - the bytes every worker
 //             round-trip moves
+//   recov     the journal's CRC-32 over one sealed cell record of an
+//             analytic cell, and one cell commit through JournalWriter
+//             into a temp file - the sweep journal's per-cell cost
 //   fleet     the registry conversation: Join/Grant codecs, the
 //             fair-share resolve over a populated member table, and the
 //             HMAC lease signature every keyed handshake computes
@@ -32,8 +35,13 @@
 // excluded from timing; closures reuse their captured state across reps
 // exactly like the production call sites do (e.g. one simulator instance
 // across replications, one scratch vector across SpMV calls).
+#include <stdlib.h>
+#include <unistd.h>
+
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -58,6 +66,7 @@
 #include "numerics/matrix.h"
 #include "numerics/sparse.h"
 #include "perf/bench.h"
+#include "recov/journal.h"
 #include "runtime/channel.h"
 #include "runtime/checkpoint.h"
 #include "runtime/recovery_block.h"
@@ -247,6 +256,40 @@ Scenario prp_cell() {
       .samples(5000)
       .streams(4);
 }
+
+// One analytic cell's result: its sealed commit record is 826 B, near
+// the ~750 B mean of analytic_fanout's cells.
+ResultSet journal_cell_result() {
+  return analytic_backend().evaluate(Scenario::symmetric(2, 1.0, 0.5));
+}
+
+// A new empty file in the temp directory; its path.
+std::string temp_file() {
+  std::string path =
+      (std::filesystem::temp_directory_path() / "rbx_append_XXXXXX").string();
+  const int fd = ::mkstemp(path.data());
+  if (fd >= 0) {
+    ::close(fd);
+  }
+  return path;
+}
+
+// The append kernel's journal: a temp file, cut back to empty every 1024
+// appends so it stays small, and removed with the kernel.
+struct TempJournal {
+  std::string path = temp_file();
+  recov::JournalWriter writer{path, {.truncate = true}};
+  std::uint64_t cell = 0;
+
+  ~TempJournal() { std::remove(path.c_str()); }
+
+  void append(const ResultSet& result) {
+    writer.cell_committed(0, cell, result);
+    if (++cell % 1024 == 0 && ::truncate(path.c_str(), 0) != 0) {
+      std::perror("recov_journal_append: truncate");
+    }
+  }
+};
 
 // The runtime's synthetic workload state after 100 work steps.
 WorkState stepped_work_state() {
@@ -861,6 +904,29 @@ void register_default_kernels(KernelRegistry& registry) {
                     wire::Reader r(parsed.payload);
                     const CellBatch batch = CellBatch::decode(r);
                     return static_cast<double>(batch.cells.size());
+                  };
+                }});
+
+  // --- recov ------------------------------------------------------------
+  registry.add({"recov_crc32", "recov", [] {
+                  const wire::Frame frame =
+                      recov::cell_committed_record(0, 7, journal_cell_result());
+                  const std::vector<std::byte> record =
+                      recov::seal_record(frame.type, frame.payload);
+                  return [record]() -> double {
+                    return static_cast<double>(
+                        recov::crc32(record.data(), record.size()));
+                  };
+                }});
+
+  registry.add({"recov_journal_append", "recov", [] {
+                  // Seal, write and the fsync policy's share: the whole
+                  // cost of a commit on the dispatch thread.
+                  auto journal = std::make_shared<TempJournal>();
+                  const ResultSet result = journal_cell_result();
+                  return [journal, result]() -> double {
+                    journal->append(result);
+                    return static_cast<double>(journal->cell);
                   };
                 }});
 

@@ -24,9 +24,10 @@
 // ResultSet), appended through the sweep journal's JournalWriter as cells
 // are evaluated and replayed through the same torn-tail-tolerant scan on
 // startup.  So the cache has the journal's durability: killing a daemon
-// mid-append costs at most the torn record, a crash loses at most the
-// writer's `sync_every` unsynced entries, and a failed append or fsync
-// throws wire::Error naming the file.
+// mid-append costs at most the torn record, an OS crash loses at most the
+// entries appended in the writer's kMaxSyncAge (50 ms) before its last
+// append, and a failed append or fsync throws wire::Error naming the
+// file.
 //
 // Thread-safe: sweep_workerd serves sessions concurrently, so lookup and
 // insert take an internal mutex (the disk append happens under it too,

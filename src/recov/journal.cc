@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -15,21 +16,33 @@ namespace recov {
 
 namespace {
 
-// Reflected CRC-32 table for polynomial 0xEDB88320, built once.
-struct Crc32Table {
-  std::uint32_t entries[256];
-  Crc32Table() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      entries[i] = c;
+// Slicing-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320:
+// kCrcTables[0] is the classic byte table, and kCrcTables[s][b] carries
+// kCrcTables[0][b] through s more zero bytes, so eight lookups fold eight
+// input bytes at once.  Built at compile time: a function-local static's
+// init guard could be inherited held by a forked child.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    t[0][i] = c;
+  }
+  for (std::size_t s = 1; s < 8; ++s) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[s][i] = (t[s - 1][i] >> 8) ^ t[0][t[s - 1][i] & 0xFFu];
     }
   }
-};
+  return t;
+}
 
-std::uint32_t read_crc_le(const std::byte* p) {
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+std::uint32_t load_le32(const unsigned char* p) {
   return static_cast<std::uint32_t>(p[0]) |
          static_cast<std::uint32_t>(p[1]) << 8 |
          static_cast<std::uint32_t>(p[2]) << 16 |
@@ -39,11 +52,18 @@ std::uint32_t read_crc_le(const std::byte* p) {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size) {
-  static const Crc32Table table;
+  const CrcTables& t = kCrcTables;
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table.entries[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -113,7 +133,8 @@ RecordScan scan_records(const std::byte* data, std::size_t size) {
     if (!parsed || size - pos - consumed < 4) {
       break;  // truncated mid-record
     }
-    const std::uint32_t want = read_crc_le(data + pos + consumed);
+    const std::uint32_t want = load_le32(
+        reinterpret_cast<const unsigned char*>(data + pos + consumed));
     if (crc32(data + pos, consumed) != want) {
       break;  // torn write or bit rot inside the record
     }
@@ -297,8 +318,12 @@ void JournalWriter::append(const wire::Frame& record, bool force_sync) {
   if (!io::write_all(fd_, sealed)) {
     throw wire::Error("append to '" + path_ + "' failed");
   }
-  ++unsynced_;
-  if (force_sync || unsynced_ >= options_.sync_every) {
+  const auto now = std::chrono::steady_clock::now();
+  if (unsynced_++ == 0) {
+    oldest_unsynced_ = now;
+  }
+  if (force_sync || unsynced_ >= options_.sync_every ||
+      now - oldest_unsynced_ >= kMaxSyncAge) {
     sync();
   }
 }

@@ -40,15 +40,19 @@
 // final-state (full ResultSets, not deltas), so redo = copy them into the
 // result vector; the "undo pass" is the re-evaluation of the losers.
 //
-// Writes batch their fsyncs: cell records are flushed in groups of
-// `sync_every` (a crash loses at most that many commits - they are simply
-// re-evaluated on resume), while sweep boundaries always sync.
+// Durability: every record is written to the file the moment it is
+// appended, so a killed process loses nothing it appended.  fsync is
+// bounded by age, not by count: sweep boundaries always sync, and a cell
+// append syncs once the oldest unsynced record is
+// JournalWriter::kMaxSyncAge (50 ms) old.  So an OS crash loses at most
+// the commits appended in the 50 ms before the last append - they are
+// simply re-evaluated on resume, to the same bytes - and a sweep of cells
+// slower than that leaves only its newest record unsynced.
 //
 // The worker's result cache (recov/cache.h) appends its kRecordCacheEntry
 // records through JournalWriter too, so both files share one open,
-// torn-tail cut, group fsync and sync on close, and a crash loses at most
-// `sync_every` cache entries as well.  A failed open, cut, append or fsync
-// throws wire::Error naming the file.
+// torn-tail cut, age-bounded fsync and sync on close.  A failed open,
+// cut, append or fsync throws wire::Error naming the file.
 //
 // A `--shard=i/k` run journals the cells it owns, so `--merge` is a resume
 // over several journals (recov/resume.h).  `--shard-serve` streams the
@@ -56,6 +60,7 @@
 // the merge folds in one at a time with analyze_record().
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -172,9 +177,10 @@ JournalAnalysis analyze_journal(const std::string& path);
 class JournalWriter {
  public:
   struct Options {
-    // Cell (or cache) records per fsync batch; boundary records always
-    // sync.
-    std::size_t sync_every = 32;
+    // A count cap: fsync once this many records are unsynced.  The
+    // default leaves only the age bound (kMaxSyncAge) and the boundary
+    // records.
+    std::size_t sync_every = static_cast<std::size_t>(-1);
     bool truncate = false;  // start a fresh journal (--journal) instead of
                             // appending to a recovered one (--resume)
     // When resuming a journal whose analysis found a torn tail, the torn
@@ -201,18 +207,30 @@ class JournalWriter {
                       const ResultSet& result);
   void sweep_end(std::uint64_t sweep, const SweepEndStats& stats);
 
-  // Seals and appends one record; fsyncs when `force_sync` is set or
-  // `sync_every` records are unsynced.
+  // The longest a written record waits for its fsync while appends go
+  // on.  It caps the appending thread at 20 fsyncs a second whatever the
+  // commit rate (a count of 32 made ~625 per 0.4 s pass of microsecond
+  // cells), while an OS crash loses at most 50 ms of commits, which a
+  // resume re-evaluates to the same bytes.
+  static constexpr std::chrono::milliseconds kMaxSyncAge{50};
+
+  // Seals and writes one record, then fsyncs when `force_sync` is set,
+  // the oldest unsynced record is kMaxSyncAge old, or `sync_every`
+  // records are unsynced.
   void append(const wire::Frame& record, bool force_sync);
 
   // fsync now (boundary records call this themselves).
   void sync();
+
+  // Records written since the last fsync.
+  std::size_t unsynced() const { return unsynced_; }
 
  private:
   std::string path_;
   Options options_;
   int fd_ = -1;
   std::size_t unsynced_ = 0;
+  std::chrono::steady_clock::time_point oldest_unsynced_;
 };
 
 }  // namespace recov

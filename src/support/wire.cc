@@ -199,7 +199,9 @@ void write_file(const std::string& path, const std::vector<std::byte>& data) {
   if (f == nullptr) {
     throw Error("wire: cannot open '" + path + "' for writing");
   }
-  const std::size_t written = std::fwrite(data.data(), 1, data.size(), f);
+  // An empty vector's data() may be null, which fwrite must not receive.
+  const std::size_t written =
+      data.empty() ? 0 : std::fwrite(data.data(), 1, data.size(), f);
   const bool closed = std::fclose(f) == 0;
   if (written != data.size() || !closed) {
     throw Error("wire: short write to '" + path + "'");

@@ -35,7 +35,7 @@ TEST(BenchTest, DefaultRegistrySpansLayers) {
   }
   // One harness times every layer of the stack.
   for (const char* layer : {"numerics", "markov", "core", "des", "trace",
-                            "runtime", "wire", "fleet"}) {
+                            "runtime", "wire", "recov", "fleet"}) {
     EXPECT_TRUE(layers.count(layer)) << layer;
   }
   EXPECT_NE(registry.find("sparse_spmv_left"), nullptr);

@@ -8,8 +8,10 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -347,6 +349,100 @@ TEST(JournalWriterTest, TruncatedWriterFileRecoversThePrefix)
   ASSERT_EQ(b.sweeps[0].committed.size(), 2u);
   EXPECT_EQ(b.sweeps[0].committed[1].second, make_result(1));
   std::remove(path.c_str());
+}
+
+TEST(JournalWriterTest, FsyncWaitsForTheOldestUnsyncedRecordToAge) {
+  // Every record reaches the file when it is appended; fsync comes at the
+  // boundary records and at the append that finds the oldest unsynced
+  // record kMaxSyncAge old, not after a count of records.
+  const std::string path = testing::TempDir() + "journal_sync_age.rbxj";
+  JournalWriter::Options opts;
+  opts.truncate = true;
+  JournalWriter w(path, opts);
+  w.sweep_begin(0, 0x5au, 64, "x");
+  EXPECT_EQ(w.unsynced(), 0u);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::uint64_t c = 0; c < 40; ++c) {
+    w.cell_committed(0, c, make_result(c));
+  }
+  if (std::chrono::steady_clock::now() - t0 < JournalWriter::kMaxSyncAge) {
+    EXPECT_EQ(w.unsynced(), 40u);  // no record was old enough to sync
+  }
+  // Written, synced or not: a killed process would lose none of them.
+  EXPECT_EQ(analyze_journal(path).committed_cells(), 40u);
+
+  std::this_thread::sleep_for(JournalWriter::kMaxSyncAge +
+                              std::chrono::milliseconds(5));
+  w.cell_committed(0, 40, make_result(40));
+  EXPECT_EQ(w.unsynced(), 0u);  // the oldest record had aged: synced
+  w.cell_committed(0, 41, make_result(41));
+  EXPECT_EQ(w.unsynced(), 1u);  // the first record after a sync waits
+  w.sweep_end(0, SweepEndStats{});
+  EXPECT_EQ(w.unsynced(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(JournalWriterTest, SyncEveryCapsTheUnsyncedCount) {
+  EXPECT_EQ(JournalWriter::Options().sync_every,
+            static_cast<std::size_t>(-1));  // no count cap by default
+  const std::string path = testing::TempDir() + "journal_sync_every.rbxj";
+  JournalWriter::Options opts;
+  opts.truncate = true;
+  opts.sync_every = 2;
+  JournalWriter w(path, opts);
+  w.sweep_begin(0, 0x5bu, 4, "x");
+  for (std::uint64_t c = 0; c < 4; c += 2) {
+    w.cell_committed(0, c, make_result(c));
+    EXPECT_EQ(w.unsynced(), 1u);
+    w.cell_committed(0, c + 1, make_result(c + 1));
+    EXPECT_EQ(w.unsynced(), 0u);
+  }
+  std::remove(path.c_str());
+}
+
+// --- the CRC ----------------------------------------------------------
+
+// The reflected CRC-32 one bit at a time, as the standard defines it.
+std::uint32_t crc32_bitwise(std::uint32_t state, unsigned char byte) {
+  state ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    state = (state >> 1) ^ (0xEDB88320u & (0u - (state & 1u)));
+  }
+  return state;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, MatchesTheBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..4096 from start offsets 0..7, so every tail length and
+  // every misalignment of the eight-byte steps is covered.
+  constexpr std::size_t kMaxLength = 4096;
+  std::vector<unsigned char> buffer(kMaxLength + 8);
+  std::uint64_t x = 0x9E3779B97F4A7C15u;
+  for (unsigned char& b : buffer) {
+    x = x * 6364136223846793005u + 1442695040888963407u;
+    b = static_cast<unsigned char>(x >> 56);
+  }
+  std::size_t mismatches = 0;
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    std::uint32_t state = 0xFFFFFFFFu;
+    for (std::size_t length = 0; length <= kMaxLength; ++length) {
+      if (length > 0) {
+        state = crc32_bitwise(state, buffer[offset + length - 1]);
+      }
+      if (crc32(buffer.data() + offset, length) != ~state) {
+        ++mismatches;
+        ADD_FAILURE() << "offset " << offset << " length " << length;
+      }
+      if (mismatches > 8) {
+        return;
+      }
+    }
+  }
 }
 
 TEST(JournalScanTest, MissingFileThrows) {
