@@ -236,18 +236,27 @@ std::vector<CellOutcome> HybridExecutor::run(
     };
 
     // Ships `indices` to a worker as one batch; on success the worker
-    // owns them.  False = the send failed and nothing was recorded.
+    // owns them.  False = the send failed and nothing was recorded.  The
+    // cells are encoded straight from the grid into one frame buffer that
+    // every batch of the run reuses; the bytes are CellBatch::seal()'s
+    // over the same cells (encode_batch_cell holds the layout).
+    wire::Writer deal;
     const auto send_batch = [&](Slot& slot,
                                 const std::vector<std::size_t>& indices) {
-      CellBatch batch;
-      batch.cells.reserve(indices.size());
       const bool with_plan = slot.worker->needs_plan();
+      deal.clear();
+      const std::size_t mark = deal.begin_frame(kFrameCellBatch);
+      deal.u32(static_cast<std::uint32_t>(indices.size()));
       for (const std::size_t index : indices) {
-        batch.cells.push_back(
-            BatchCell{index, cells[index], with_plan,
-                      with_plan ? plan_fn_(cells[index], index) : EvalPlan{}});
+        if (with_plan) {
+          const EvalPlan plan = plan_fn_(cells[index], index);
+          encode_batch_cell(deal, index, cells[index], &plan);
+        } else {
+          encode_batch_cell(deal, index, cells[index], nullptr);
+        }
       }
-      if (!slot.worker->channel()->send_frame(batch.seal())) {
+      deal.end_frame(mark);
+      if (!slot.worker->channel()->send_frame(deal.data())) {
         return false;
       }
       for (const std::size_t index : indices) {
@@ -519,10 +528,11 @@ std::vector<CellOutcome> HybridExecutor::run(
             return false;
           }
           wire::Reader r(frame.payload);
-          const ResultBatch batch = ResultBatch::decode(r);
+          ResultBatch batch = ResultBatch::decode(r);
           r.expect_done();
-          // Streaming merge with dedup: outcomes land the moment this
-          // batch arrives - unless a thief's copy of a cell already did.
+          // Streaming merge with dedup: outcomes are moved into place the
+          // moment this batch arrives - unless a thief's copy of a cell
+          // already landed.
           // The commit hook fires exactly for the 0->1 transitions of the
           // committed mask (a duplicate answer must not re-journal).
           std::vector<std::size_t> fresh;

@@ -25,15 +25,21 @@ CellOutcome evaluate_cell(const CellFn& cell_fn, const Scenario& cell,
 
 // --- batch payloads ------------------------------------------------------
 
+void encode_batch_cell(wire::Writer& w, std::uint64_t index,
+                       const Scenario& scenario, const EvalPlan* plan) {
+  w.u64(index);
+  w.u8(plan != nullptr ? 1 : 0);
+  if (plan != nullptr) {
+    plan->encode(w);
+  }
+  scenario.encode(w);
+}
+
 void CellBatch::encode(wire::Writer& w) const {
   w.u32(static_cast<std::uint32_t>(cells.size()));
   for (const BatchCell& cell : cells) {
-    w.u64(cell.index);
-    w.u8(cell.has_plan ? 1 : 0);
-    if (cell.has_plan) {
-      cell.plan.encode(w);
-    }
-    cell.scenario.encode(w);
+    encode_batch_cell(w, cell.index, cell.scenario,
+                      cell.has_plan ? &cell.plan : nullptr);
   }
 }
 
@@ -126,7 +132,7 @@ std::vector<std::byte> ResultBatch::seal() const {
   return w.take();
 }
 
-std::size_t apply_result_batch(const ResultBatch& batch,
+std::size_t apply_result_batch(ResultBatch& batch,
                                const std::vector<std::size_t>& outstanding,
                                std::vector<CellOutcome>& outcomes,
                                std::vector<std::uint8_t>* committed) {
@@ -159,7 +165,7 @@ std::size_t apply_result_batch(const ResultBatch& batch,
     }
   }
   std::size_t newly = 0;
-  for (const ResultBatch::Entry& entry : batch.entries) {
+  for (ResultBatch::Entry& entry : batch.entries) {
     const std::size_t index = static_cast<std::size_t>(entry.index);
     if (committed != nullptr) {
       if ((*committed)[index] != 0) {
@@ -167,7 +173,7 @@ std::size_t apply_result_batch(const ResultBatch& batch,
       }
       (*committed)[index] = 1;
     }
-    outcomes[index] = entry.outcome;
+    outcomes[index] = std::move(entry.outcome);
     ++newly;
   }
   return newly;

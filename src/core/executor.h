@@ -64,6 +64,14 @@ struct BatchCell {
   EvalPlan plan;  // meaningful only when has_plan
 };
 
+// Appends one cell of a kFrameCellBatch payload: index | plan flag |
+// [plan] | scenario, with the plan only when `plan` is non-null.  The one
+// definition of the per-cell layout: CellBatch::encode writes each of its
+// cells through it, and the dispatch loop deals cells straight from the
+// grid through it, without building a CellBatch first.
+void encode_batch_cell(wire::Writer& w, std::uint64_t index,
+                       const Scenario& scenario, const EvalPlan* plan);
+
 struct CellBatch {
   std::vector<BatchCell> cells;
 
@@ -88,11 +96,13 @@ struct ResultBatch {
 
 // Checks that `batch` answers exactly the cells in `outstanding` - no
 // missing, duplicated or foreign indices (a short response would otherwise
-// leave empty-but-ok outcomes that only blow up much later) - and writes
-// each outcome into outcomes[index].  Throws wire::Error on any mismatch,
-// in which case nothing was written: the batch applies atomically, so a
-// protocol-violating worker contributes no results and callers can re-run
-// its whole batch elsewhere.
+// leave empty-but-ok outcomes that only blow up much later) - and moves
+// each outcome out of the batch into outcomes[index], so a decoded result
+// lands in place without a copy; the applied entries are left moved-from.
+// Throws wire::Error on any mismatch, in which case nothing was written
+// or moved: the whole batch is validated first, so a protocol-violating
+// worker contributes no results and callers can re-run its whole batch
+// elsewhere.
 //
 // `committed` is the per-cell in-flight bookkeeping a coordinator that
 // replicates cells needs (work stealing in core/dispatch.cc dispatches a
@@ -103,7 +113,7 @@ struct ResultBatch {
 // anyway - while a first answer is written and marks committed[index].
 // Returns how many outcomes were newly committed (== batch size when
 // committed is null, where every answer is a first answer).
-std::size_t apply_result_batch(const ResultBatch& batch,
+std::size_t apply_result_batch(ResultBatch& batch,
                                const std::vector<std::size_t>& outstanding,
                                std::vector<CellOutcome>& outcomes,
                                std::vector<std::uint8_t>* committed = nullptr);

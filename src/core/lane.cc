@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/backend.h"
 #include "core/eval_context.h"
 #include "support/io.h"
 
@@ -254,9 +255,12 @@ void ThreadLane::start(std::size_t cell_count, const CellFn& cell_fn,
 }
 
 void ThreadLane::finish() {
+  // Closing the coordinator's ends EOFs every serve loop before the first
+  // join, so the threads wind down together.
   for (auto& worker : workers_) {
-    // Closing the coordinator end EOFs the serve loop; the thread exits.
     worker->channel_.close();
+  }
+  for (auto& worker : workers_) {
     if (worker->thread_.joinable()) {
       worker->thread_.join();
     }
@@ -337,6 +341,16 @@ bool ForkLane::spawn(Worker& worker) {
   // its first cell.  SweepRunner also orders the fork lane before the
   // thread lane so the *initial* spawns happen before any lane thread
   // exists.
+  //
+  // The registered backends are function-local statics (core/backend.cc),
+  // and a thread inside one's first-use construction holds its init
+  // guard: a child forked at that instant would inherit the guard held
+  // and block on its first cell of that backend.  Constructing them all
+  // here, before every fork (start's spawns and mid-sweep respawns
+  // alike), means the parent waits out any construction in progress and
+  // no child is ever forked with a guard held.  No test can force a fork
+  // into that window; this closes it by construction.
+  all_backends();
   int sv[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
     return false;
@@ -386,8 +400,12 @@ void ForkLane::start(std::size_t cell_count, const CellFn& cell_fn,
 }
 
 void ForkLane::finish() {
+  // EOF to every child first, then reap: the children exit in parallel
+  // instead of one at a time behind each waitpid.
   for (auto& worker : workers_) {
-    worker->channel_.close();  // EOF: the child's serve loop exits
+    worker->channel_.close();
+  }
+  for (auto& worker : workers_) {
     worker->reap();
   }
   workers_.clear();

@@ -11,7 +11,8 @@
 //             "hybrid" backend - the units every sweep, shard and
 //             cluster run multiplies - and streamed Monte-Carlo cells
 //             (async, fig5's straggler, a long-history PRP cell) at
-//             thread budgets 4 and 1, the straggler also at 2
+//             thread budgets 4 and 1, the straggler also at 2, and the
+//             dispatch thread's merge of one answered 64-cell batch
 //   rng       the event pipeline's delay transform over one block:
 //             exponential_block against Rng::exponential per draw
 //   des       the three simulators' inner event loops, plus the exact
@@ -750,6 +751,39 @@ void register_default_kernels(KernelRegistry& registry) {
                       merged.merge((*parts)[k]);
                     }
                     return merged.interval.mean();
+                  };
+                }});
+
+  registry.add({"core_result_batch_apply", "core", [] {
+                  // The dispatch thread's merge of one answered batch:
+                  // parse a 64-cell kFrameResultBatch frame of analytic
+                  // results, decode it and apply it into a fresh outcomes
+                  // vector, as process_frames does.
+                  ResultBatch batch;
+                  std::vector<std::size_t> outstanding;
+                  for (std::size_t i = 0; i < 64; ++i) {
+                    const Scenario cell =
+                        Scenario::symmetric(2 + i % 4, 1.0,
+                                            0.25 + 0.025 * i)
+                            .scheme(i % 2 == 0 ? SchemeKind::kAsynchronous
+                                               : SchemeKind::kSynchronized)
+                            .seed(1000 + i);
+                    CellOutcome outcome;
+                    outcome.result = analytic_backend().evaluate(cell);
+                    batch.entries.push_back({i, std::move(outcome)});
+                    outstanding.push_back(i);
+                  }
+                  const std::vector<std::byte> frame = batch.seal();
+                  return [frame, outstanding]() -> double {
+                    wire::Frame parsed;
+                    std::size_t consumed = 0;
+                    parse_frame(frame.data(), frame.size(), &parsed,
+                                &consumed);
+                    wire::Reader r(parsed.payload);
+                    ResultBatch decoded = ResultBatch::decode(r);
+                    std::vector<CellOutcome> outcomes(outstanding.size());
+                    return static_cast<double>(
+                        apply_result_batch(decoded, outstanding, outcomes));
                   };
                 }});
 

@@ -11,6 +11,15 @@
 
 #include "support/io.h"
 
+// The carry-less multiply fold needs x86-64 and GCC's (or Clang's) target
+// attribute; everywhere else every input takes slicing-by-8.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define RBX_CRC_FOLD 1
+#include <immintrin.h>
+#else
+#define RBX_CRC_FOLD 0
+#endif
+
 namespace rbx {
 namespace recov {
 
@@ -23,12 +32,14 @@ namespace {
 // init guard could be inherited held by a forked child.
 using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
 
+constexpr std::uint32_t kCrcPoly = 0xEDB88320u;
+
 constexpr CrcTables make_crc_tables() {
   CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      c = (c & 1u) != 0 ? kCrcPoly ^ (c >> 1) : c >> 1;
     }
     t[0][i] = c;
   }
@@ -49,12 +60,11 @@ std::uint32_t load_le32(const unsigned char* p) {
          static_cast<std::uint32_t>(p[3]) << 24;
 }
 
-}  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t size) {
+// Advances the CRC state `c` (pre-inversion) over `size` bytes, eight at
+// a time and then byte by byte: every input the fold below does not take.
+std::uint32_t crc32_slice8(std::uint32_t c, const unsigned char* p,
+                           std::size_t size) {
   const CrcTables& t = kCrcTables;
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t c = 0xFFFFFFFFu;
   for (; size >= 8; p += 8, size -= 8) {
     const std::uint32_t lo = load_le32(p) ^ c;
     const std::uint32_t hi = load_le32(p + 4);
@@ -65,18 +75,190 @@ std::uint32_t crc32(const void* data, std::size_t size) {
   for (; size > 0; ++p, --size) {
     c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
-  return c ^ 0xFFFFFFFFu;
+  return c;
+}
+
+#if RBX_CRC_FOLD
+// --- the carry-less multiply fold ------------------------------------------
+//
+// Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+// PCLMULQDQ Instruction" (Intel, 2009), in the bit-reflected form zlib
+// and the Linux kernel use for this polynomial.  A 128-bit accumulator
+// holding 16 message bytes is carried D bits further along the message
+// by multiplying its two 64-bit halves by x^(D+32) and x^(D-32) mod P
+// and xoring the products onto the 16 bytes found D bits on; four
+// accumulators fold 64 bytes a step.  At the end one 128-bit value is
+// folded to 64 bits and Barrett-reduced to the 32-bit CRC.
+//
+// Every constant is derived here from the polynomial.  Reflected, a
+// polynomial of degree < 32 keeps the coefficient of x^i in bit 31 - i,
+// so multiplying by x is a right shift, and the x^32 that falls out of
+// bit 0 reduces to kCrcPoly.
+
+// x^e mod P, reflected.
+constexpr std::uint32_t xpow_mod(unsigned e) {
+  std::uint32_t r = 0x80000000u;  // x^0
+  for (unsigned k = 0; k < e; ++k) {
+    r = (r & 1u) != 0 ? (r >> 1) ^ kCrcPoly : r >> 1;
+  }
+  return r;
+}
+
+// The fold multiplier for x^e: (x^e mod P) reflected into the low 33 bits
+// of a 64-bit lane.  The extra shift accounts for a reflected 64x64-bit
+// carry-less product landing one bit low.
+constexpr std::uint64_t fold_constant(unsigned e) {
+  return std::uint64_t{xpow_mod(e)} << 1;
+}
+
+// Reverses the low `bits` bits of v.
+constexpr std::uint64_t reflect(std::uint64_t v, int bits) {
+  std::uint64_t r = 0;
+  for (int i = 0; i < bits; ++i) {
+    r |= ((v >> i) & 1u) << (bits - 1 - i);
+  }
+  return r;
+}
+
+// P with its x^32 term, reflected over 33 bits.
+constexpr std::uint64_t kPolyFull = (std::uint64_t{kCrcPoly} << 1) | 1u;
+
+// Barrett's mu: floor(x^64 / P) by long division in the normal bit order,
+// then reflected over its 33 bits.
+constexpr std::uint64_t barrett_mu() {
+  const std::uint64_t p = reflect(kPolyFull, 33);  // 0x104C11DB7
+  std::uint64_t rem = 0;
+  std::uint64_t quotient = 0;
+  for (int i = 64; i >= 0; --i) {  // the dividend's bits, x^64 first
+    rem = (rem << 1) | (i == 64 ? 1u : 0u);
+    quotient <<= 1;
+    if (((rem >> 32) & 1u) != 0) {
+      rem ^= p;
+      quotient |= 1u;
+    }
+  }
+  return reflect(quotient, 33);
+}
+
+constexpr std::uint64_t kFold512Lo = fold_constant(4 * 128 + 32);
+constexpr std::uint64_t kFold512Hi = fold_constant(4 * 128 - 32);
+constexpr std::uint64_t kFold128Lo = fold_constant(128 + 32);
+constexpr std::uint64_t kFold128Hi = fold_constant(128 - 32);
+constexpr std::uint64_t kFold64 = fold_constant(64);
+constexpr std::uint64_t kBarrettMu = barrett_mu();
+
+// The published constants (the paper's k1..k5 and mu, as zlib and Linux
+// carry them): a check on the derivation above.
+static_assert(kFold512Lo == 0x154442bd4 && kFold512Hi == 0x1c6e41596);
+static_assert(kFold128Lo == 0x1751997d0 && kFold128Hi == 0x0ccaa009e);
+static_assert(kFold64 == 0x163cd6124);
+static_assert(kPolyFull == 0x1db710641 && kBarrettMu == 0x1f7011641);
+
+// Carries `acc` 128 or 512 bits on (by `k`) and adds `next` in.
+__attribute__((target("pclmul,sse4.1"))) inline __m128i fold16(
+    __m128i acc, __m128i k, __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(acc, k, 0x00),
+                                     _mm_clmulepi64_si128(acc, k, 0x11)),
+                       next);
+}
+
+// Advances the CRC state `c` over `size` bytes; size >= 64 and a multiple
+// of 16.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_fold(
+    std::uint32_t c, const unsigned char* p, std::size_t size) {
+  const auto load = [](const unsigned char* at) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
+  };
+  const __m128i by512 = _mm_set_epi64x(static_cast<long long>(kFold512Hi),
+                                       static_cast<long long>(kFold512Lo));
+  const __m128i by128 = _mm_set_epi64x(static_cast<long long>(kFold128Hi),
+                                       static_cast<long long>(kFold128Lo));
+  __m128i a = _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i b = load(p + 16);
+  __m128i d = load(p + 32);
+  __m128i e = load(p + 48);
+  for (p += 64, size -= 64; size >= 64; p += 64, size -= 64) {
+    a = fold16(a, by512, load(p));
+    b = fold16(b, by512, load(p + 16));
+    d = fold16(d, by512, load(p + 32));
+    e = fold16(e, by512, load(p + 48));
+  }
+  a = fold16(a, by128, b);
+  a = fold16(a, by128, d);
+  a = fold16(a, by128, e);
+  for (; size >= 16; p += 16, size -= 16) {
+    a = fold16(a, by128, load(p));
+  }
+
+  // 128 -> 64 bits: the low half times x^96 onto the high half, then
+  // the low 32 bits of that times x^64 onto the rest.
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  a = _mm_xor_si128(_mm_srli_si128(a, 8), _mm_clmulepi64_si128(a, by128, 0x10));
+  a = _mm_xor_si128(
+      _mm_srli_si128(a, 4),
+      _mm_clmulepi64_si128(_mm_and_si128(a, low32),
+                           _mm_cvtsi64_si128(static_cast<long long>(kFold64)),
+                           0x00));
+
+  // Barrett: q = floor(a / P) from mu, then a - q P; the CRC is the
+  // second 32-bit word.
+  const __m128i barrett = _mm_set_epi64x(static_cast<long long>(kBarrettMu),
+                                         static_cast<long long>(kPolyFull));
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(a, low32), barrett, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), barrett, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(a, q), 1));
+}
+#endif  // RBX_CRC_FOLD
+
+// Closes the frame `w` opened at `mark` (Writer::begin_frame) and appends
+// the CRC-32 of the whole frame: a journal record, sealed in the buffer
+// it was encoded into.  The one definition of the record layout.
+void end_record(wire::Writer& w, std::size_t mark) {
+  w.end_frame(mark);
+  const std::size_t start = mark - wire::kFrameHeaderSize;
+  w.u32(crc32(w.data().data() + start, w.size() - start));
+}
+
+// kRecordCellCommitted's payload: sweep, cell, the encoded ResultSet.
+void encode_cell_committed(wire::Writer& w, std::uint64_t sweep,
+                           std::uint64_t cell, const ResultSet& result) {
+  w.u64(sweep);
+  w.u64(cell);
+  result.encode(w);
+}
+
+}  // namespace
+
+bool crc32_folds() {
+#if RBX_CRC_FOLD
+  return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+#else
+  return false;
+#endif
+}
+
+std::uint32_t crc32(const void* data, std::size_t size) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint32_t c = 0xFFFFFFFFu;
+#if RBX_CRC_FOLD
+  if (size >= 64 && crc32_folds()) {
+    const std::size_t folded = size & ~std::size_t{15};
+    c = crc32_fold(c, p, folded);
+    p += folded;
+    size -= folded;
+  }
+#endif
+  return crc32_slice8(c, p, size) ^ 0xFFFFFFFFu;
 }
 
 std::vector<std::byte> seal_record(std::uint16_t type,
                                    const std::vector<std::byte>& payload) {
-  std::vector<std::byte> record = wire::seal_frame(type, payload);
-  const std::uint32_t crc = crc32(record.data(), record.size());
-  record.push_back(static_cast<std::byte>(crc & 0xFFu));
-  record.push_back(static_cast<std::byte>((crc >> 8) & 0xFFu));
-  record.push_back(static_cast<std::byte>((crc >> 16) & 0xFFu));
-  record.push_back(static_cast<std::byte>((crc >> 24) & 0xFFu));
-  return record;
+  wire::Writer w;
+  w.reserve(wire::kFrameHeaderSize + payload.size() + 4);
+  const std::size_t mark = w.begin_frame(type);
+  w.bytes(payload.data(), payload.size());
+  end_record(w, mark);
+  return w.take();
 }
 
 wire::Frame sweep_begin_record(std::uint64_t sweep, std::uint64_t fingerprint,
@@ -93,9 +275,7 @@ wire::Frame sweep_begin_record(std::uint64_t sweep, std::uint64_t fingerprint,
 wire::Frame cell_committed_record(std::uint64_t sweep, std::uint64_t cell,
                                   const ResultSet& result) {
   wire::Writer w;
-  w.u64(sweep);
-  w.u64(cell);
-  result.encode(w);
+  encode_cell_committed(w, sweep, cell, result);
   return {kRecordCellCommitted, w.take()};
 }
 
@@ -310,12 +490,16 @@ void JournalWriter::sync() {
   unsynced_ = 0;
 }
 
-void JournalWriter::append(const wire::Frame& record, bool force_sync) {
-  const std::vector<std::byte> sealed =
-      seal_record(record.type, record.payload);
+std::size_t JournalWriter::begin_record(std::uint16_t type) {
+  record_.clear();
+  return record_.begin_frame(type);
+}
+
+void JournalWriter::write_record(std::size_t mark, bool force_sync) {
+  end_record(record_, mark);
   // O_APPEND makes each write land at the current end even if another
   // process appends too; write_all retries EINTR and short writes.
-  if (!io::write_all(fd_, sealed)) {
+  if (!io::write_all(fd_, record_.data())) {
     throw wire::Error("append to '" + path_ + "' failed");
   }
   const auto now = std::chrono::steady_clock::now();
@@ -328,6 +512,12 @@ void JournalWriter::append(const wire::Frame& record, bool force_sync) {
   }
 }
 
+void JournalWriter::append(const wire::Frame& record, bool force_sync) {
+  const std::size_t mark = begin_record(record.type);
+  record_.bytes(record.payload.data(), record.payload.size());
+  write_record(mark, force_sync);
+}
+
 void JournalWriter::sweep_begin(std::uint64_t sweep,
                                 std::uint64_t fingerprint,
                                 std::uint64_t total_cells,
@@ -338,7 +528,11 @@ void JournalWriter::sweep_begin(std::uint64_t sweep,
 
 void JournalWriter::cell_committed(std::uint64_t sweep, std::uint64_t cell,
                                    const ResultSet& result) {
-  append(cell_committed_record(sweep, cell, result), /*force_sync=*/false);
+  // Encoded straight into the record buffer, so the result's bytes are
+  // written once.
+  const std::size_t mark = begin_record(kRecordCellCommitted);
+  encode_cell_committed(record_, sweep, cell, result);
+  write_record(mark, /*force_sync=*/false);
 }
 
 void JournalWriter::sweep_end(std::uint64_t sweep,

@@ -49,6 +49,12 @@
 // simply re-evaluated on resume, to the same bytes - and a sweep of cells
 // slower than that leaves only its newest record unsynced.
 //
+// A JournalWriter seals each record in one buffer that it keeps across
+// appends: the frame header, the payload (a cell's ResultSet is encoded
+// straight into it) and the CRC trailer land in place, and the record
+// leaves in one write(2).  seal_record() builds the same bytes through the
+// same helper.
+//
 // The worker's result cache (recov/cache.h) appends its kRecordCacheEntry
 // records through JournalWriter too, so both files share one open,
 // torn-tail cut, age-bounded fsync and sync on close.  A failed open,
@@ -82,8 +88,18 @@ inline constexpr std::uint16_t kRecordCellCommitted = 33;
 inline constexpr std::uint16_t kRecordSweepEnd = 34;
 inline constexpr std::uint16_t kRecordCacheEntry = 35;  // recov/cache.h
 
-// CRC-32 (IEEE 802.3, reflected) over `size` bytes.
+// CRC-32 (IEEE 802.3, reflected) over `size` bytes.  Two paths, one
+// result: where crc32_folds(), an input of 64 bytes or more is folded 16
+// bytes at a time by carry-less multiplication (PCLMULQDQ), with constants
+// derived from the polynomial at compile time; its last 0-15 bytes, every
+// shorter input and every other CPU take slicing-by-8 over compile-time
+// tables.  The CPU is asked on every call, never cached: no function-local
+// static (and its init guard) for a forked child to inherit.
 std::uint32_t crc32(const void* data, std::size_t size);
+
+// Whether crc32 folds by carry-less multiplication on this CPU (x86-64
+// with PCLMULQDQ and SSE4.1).
+bool crc32_folds();
 
 // One record sealed for appending: frame + CRC trailer.
 std::vector<std::byte> seal_record(std::uint16_t type,
@@ -201,6 +217,11 @@ class JournalWriter {
 
   const std::string& path() const { return path_; }
 
+  // Each writes the record of the matching *_record() function above;
+  // the boundary records fsync.  cell_committed encodes its record in
+  // place, so its bytes are seal_record(kRecordCellCommitted,
+  // cell_committed_record(sweep, cell, result).payload) without that
+  // payload ever being built.
   void sweep_begin(std::uint64_t sweep, std::uint64_t fingerprint,
                    std::uint64_t total_cells, const std::string& options);
   void cell_committed(std::uint64_t sweep, std::uint64_t cell,
@@ -216,7 +237,8 @@ class JournalWriter {
 
   // Seals and writes one record, then fsyncs when `force_sync` is set,
   // the oldest unsynced record is kMaxSyncAge old, or `sync_every`
-  // records are unsynced.
+  // records are unsynced.  The bytes are seal_record(record.type,
+  // record.payload).
   void append(const wire::Frame& record, bool force_sync);
 
   // fsync now (boundary records call this themselves).
@@ -226,8 +248,16 @@ class JournalWriter {
   std::size_t unsynced() const { return unsynced_; }
 
  private:
+  // Clears the record buffer and opens a frame of `type` in it; returns
+  // the frame's mark.
+  std::size_t begin_record(std::uint16_t type);
+  // Seals the record opened at `mark` (length and CRC, in place), writes
+  // it and applies the fsync policy.
+  void write_record(std::size_t mark, bool force_sync);
+
   std::string path_;
   Options options_;
+  wire::Writer record_;  // the record being sealed; its capacity is kept
   int fd_ = -1;
   std::size_t unsynced_ = 0;
   std::chrono::steady_clock::time_point oldest_unsynced_;

@@ -63,6 +63,10 @@ class Writer {
   // Pre-sizes the buffer; encode paths that know their payload size call
   // this once instead of growing through reallocations.
   void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+  // Empties the buffer but keeps its capacity, so a writer reused for a
+  // stream of frames allocates only when a frame outgrows every earlier
+  // one.
+  void clear() { buf_.clear(); }
 
   // In-place framing: begin_frame writes a frame header with a zero
   // payload length and returns a mark; end_frame patches the length to

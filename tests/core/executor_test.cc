@@ -5,16 +5,20 @@
 // per-cell error, not a hung sweep).
 #include "core/executor.h"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include <gtest/gtest.h>
 
 #include "core/backend.h"
+#include "core/dispatch.h"
 #include "core/sweep.h"
 #include "lane_sets.h"
 #include "recov/journal.h"
@@ -305,6 +309,180 @@ TEST(ApplyResultBatchTest, CommittedMaskIgnoresLateDuplicates) {
   foreign.entries.push_back(entry(7, 1.0));
   EXPECT_THROW(apply_result_batch(foreign, {1}, outcomes, &committed),
                wire::Error);
+}
+
+TEST(ApplyResultBatchTest, MovesDecodedOutcomesIntoPlace) {
+  // The dispatch loop's merge: a decoded batch's outcomes are moved, not
+  // copied, into place.  A stored outcome must equal the decoded one and
+  // own the very storage the batch held.
+  const std::vector<Scenario> cells = mc_grid(5);
+  ResultBatch sent;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    CellOutcome outcome;
+    outcome.result = analytic_backend().evaluate(cells[i]);
+    sent.entries.push_back({i, std::move(outcome)});
+  }
+  const std::vector<std::byte> frame = sent.seal();
+  wire::Frame parsed;
+  std::size_t used = 0;
+  ASSERT_TRUE(wire::parse_frame(frame.data(), frame.size(), &parsed, &used));
+  wire::Reader r(parsed.payload);
+  ResultBatch batch = ResultBatch::decode(r);
+  ASSERT_EQ(batch.entries.size(), 3u);
+  std::vector<const Metric*> storage;
+  for (const ResultBatch::Entry& entry : batch.entries) {
+    ASSERT_FALSE(entry.outcome.result.metrics().empty());
+    storage.push_back(entry.outcome.result.metrics().data());
+  }
+
+  std::vector<CellOutcome> outcomes(4);
+  std::vector<std::uint8_t> committed(4, 0);
+  EXPECT_EQ(apply_result_batch(batch, {2, 0, 1}, outcomes, &committed), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(outcomes[i].result, sent.entries[i].outcome.result) << i;
+    EXPECT_EQ(outcomes[i].result.metrics().data(), storage[i]) << i;
+  }
+
+  // A late duplicate leaves the stored outcome as it was, and stays in
+  // its own batch untouched.
+  ResultBatch late;
+  late.entries.push_back({1, sent.entries[2].outcome});
+  late.entries.push_back({3, sent.entries[0].outcome});
+  const Metric* kept = outcomes[1].result.metrics().data();
+  EXPECT_EQ(apply_result_batch(late, {1, 3}, outcomes, &committed), 1u);
+  EXPECT_EQ(outcomes[1].result, sent.entries[1].outcome.result);
+  EXPECT_EQ(outcomes[1].result.metrics().data(), kept);
+  EXPECT_EQ(late.entries[0].outcome.result, sent.entries[2].outcome.result);
+  EXPECT_EQ(outcomes[3].result, sent.entries[0].outcome.result);
+
+  // A throwing batch - short or foreign - writes and moves nothing.
+  std::vector<CellOutcome> fresh(4);
+  std::vector<std::uint8_t> none(4, 0);
+  ResultBatch shorting;
+  shorting.entries.push_back({0, sent.entries[0].outcome});
+  EXPECT_THROW(apply_result_batch(shorting, {0, 1}, fresh, &none),
+               wire::Error);
+  ResultBatch foreign;
+  foreign.entries.push_back({0, sent.entries[0].outcome});
+  foreign.entries.push_back({2, sent.entries[2].outcome});
+  EXPECT_THROW(apply_result_batch(foreign, {0, 1}, fresh), wire::Error);
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_TRUE(fresh[i].result.metrics().empty()) << i;
+    EXPECT_EQ(none[i], 0) << i;
+  }
+  EXPECT_EQ(shorting.entries[0].outcome.result,
+            sent.entries[0].outcome.result);
+  EXPECT_EQ(foreign.entries[0].outcome.result,
+            sent.entries[0].outcome.result);
+  EXPECT_EQ(foreign.entries[1].outcome.result,
+            sent.entries[2].outcome.result);
+}
+
+// A one-worker lane whose worker is a thread of the test: it keeps every
+// frame the dispatch loop deals, as wire bytes, and answers each batch by
+// evaluating its cells.  With `needs_plan` its worker asks for plans, as a
+// remote daemon does.
+class RecordingLane final : public Lane {
+ public:
+  explicit RecordingLane(bool needs_plan) : worker_(needs_plan) {}
+  ~RecordingLane() override { finish(); }
+
+  std::string name() const override { return "recording"; }
+
+  void start(std::size_t, const CellFn& cell_fn,
+             std::vector<LaneWorker*>* out) override {
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    worker_.channel_ = FrameChannel(sv[0]);
+    thread_ = std::thread([this, fd = sv[1], &cell_fn] {
+      FrameChannel ch(fd);
+      wire::Frame frame;
+      while (ch.recv(&frame)) {
+        frames_.push_back(wire::seal_frame(frame.type, frame.payload));
+        wire::Reader r(frame.payload);
+        ResultBatch response;
+        for (const BatchCell& cell : CellBatch::decode(r).cells) {
+          response.entries.push_back(
+              {cell.index, evaluate_cell(cell_fn, cell.scenario,
+                                         static_cast<std::size_t>(
+                                             cell.index))});
+        }
+        if (!ch.send_frame(response.seal())) {
+          return;
+        }
+      }
+    });
+    out->push_back(&worker_);
+  }
+
+  void finish() override {
+    worker_.channel_.close();
+    if (thread_.joinable()) {
+      thread_.join();
+    }
+  }
+
+  // Every dealt frame, in order; read after the run.
+  const std::vector<std::vector<std::byte>>& frames() const {
+    return frames_;
+  }
+
+ private:
+  struct Worker final : LaneWorker {
+    explicit Worker(bool plan) : plan_(plan) {}
+    std::string describe() const override { return "recording"; }
+    FrameChannel* channel() override { return &channel_; }
+    bool needs_plan() const override { return plan_; }
+    void retire() override { channel_.close(); }
+
+    bool plan_;
+    FrameChannel channel_;
+  };
+
+  Worker worker_;
+  std::thread thread_;
+  std::vector<std::vector<std::byte>> frames_;
+};
+
+TEST(DealTest, DispatcherFramesAreTheSealedCellBatches) {
+  // The dispatch loop encodes cells straight from the grid; each frame it
+  // deals must be CellBatch{...}.seal() of the same cells, with a plan
+  // for a worker that needs_plan() and without one otherwise.
+  const std::vector<Scenario> cells = mc_grid(9);
+  const PlanFn plan_fn = [](const Scenario&, std::size_t) {
+    return plan_for(analytic_backend());
+  };
+  const CellFn fn = [](const Scenario& s, std::size_t) {
+    return analytic_backend().evaluate(s);
+  };
+  constexpr std::size_t kBatch = 4;  // 6 cells: a full batch, then 2
+  ASSERT_EQ(cells.size(), 6u);
+  for (const bool with_plan : {false, true}) {
+    std::vector<std::unique_ptr<Lane>> lanes;
+    lanes.push_back(std::make_unique<RecordingLane>(with_plan));
+    const RecordingLane& lane = static_cast<RecordingLane&>(*lanes.back());
+    DispatchOptions options;
+    options.batch_size = kBatch;
+    HybridExecutor executor(std::move(lanes), options);
+    executor.set_plan_fn(plan_fn);
+    const std::vector<CellOutcome> outcomes = executor.run(cells, fn);
+    ASSERT_EQ(lane.frames().size(), 2u) << "with_plan " << with_plan;
+    for (std::size_t b = 0; b < lane.frames().size(); ++b) {
+      CellBatch expected;
+      for (std::size_t i = b * kBatch;
+           i < std::min(cells.size(), (b + 1) * kBatch); ++i) {
+        expected.cells.push_back(BatchCell{
+            i, cells[i], with_plan,
+            with_plan ? plan_fn(cells[i], i) : EvalPlan{}});
+      }
+      EXPECT_EQ(lane.frames()[b], expected.seal())
+          << "batch " << b << " with_plan " << with_plan;
+    }
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      ASSERT_TRUE(outcomes[i].ok()) << outcomes[i].error;
+      EXPECT_EQ(outcomes[i].result, fn(cells[i], i)) << i;
+    }
+  }
 }
 
 TEST(ShardSpecTest, PartitionIsDisjointAndComplete) {

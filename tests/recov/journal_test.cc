@@ -401,6 +401,54 @@ TEST(JournalWriterTest, SyncEveryCapsTheUnsyncedCount) {
   std::remove(path.c_str());
 }
 
+TEST(JournalWriterTest, RecordsSealedInPlaceAreTheSealRecordBytes) {
+  // The writer encodes each record into one buffer it reuses across
+  // appends.  Its file must be exactly the seal_record() bytes of every
+  // record in order: a long cell record, then a short one and then a
+  // boundary record, so a buffer that kept the tail of an earlier,
+  // longer record would show.
+  ResultSet long_result("test", "a long cell");
+  for (int k = 0; k < 64; ++k) {
+    std::string name = "metric_";
+    name += std::to_string(k);
+    long_result.set(name, 0.5 * k, 0.01 * k, 100);
+  }
+  const ResultSet short_result("t", "s");
+  SweepEndStats stats;
+  stats.committed_cells = 2;
+  stats.evaluated_cells = 2;
+  stats.wall_ms = 3;
+  stats.cells_per_sec = 666.5;
+
+  std::vector<wire::Frame> records;
+  records.push_back(sweep_begin_record(0, 0xc0ffeeu, 2, "bytes"));
+  records.push_back(cell_committed_record(0, 1, long_result));
+  records.push_back(cell_committed_record(0, 0, short_result));
+  records.push_back(sweep_end_record(0, stats));
+  records.push_back(sweep_begin_record(1, 0xbeefu, 1, ""));
+  ASSERT_GT(records[1].payload.size(), records[2].payload.size() + 512);
+  std::vector<std::byte> expected;
+  for (const wire::Frame& record : records) {
+    const std::vector<std::byte> sealed =
+        seal_record(record.type, record.payload);
+    expected.insert(expected.end(), sealed.begin(), sealed.end());
+  }
+
+  const std::string path = testing::TempDir() + "journal_in_place.rbxj";
+  {
+    JournalWriter::Options opts;
+    opts.truncate = true;
+    JournalWriter w(path, opts);
+    w.sweep_begin(0, 0xc0ffeeu, 2, "bytes");
+    w.cell_committed(0, 1, long_result);
+    w.cell_committed(0, 0, short_result);
+    w.sweep_end(0, stats);
+    w.append(records[4], /*force_sync=*/false);
+  }
+  EXPECT_EQ(read_file_bytes(path, "journal"), expected);
+  std::remove(path.c_str());
+}
+
 // --- the CRC ----------------------------------------------------------
 
 // The reflected CRC-32 one bit at a time, as the standard defines it.
@@ -442,6 +490,90 @@ TEST(Crc32Test, MatchesTheBitwiseReferenceAtEveryLengthAndAlignment) {
         return;
       }
     }
+  }
+}
+
+// The carry-less multiply fold: these cases check crc32 where it folds,
+// and skip where it cannot (another CPU or architecture takes
+// slicing-by-8 alone, which the cases above check).  CI fails if they
+// skip on x86-64, so a green run there has checked the fold.
+class Crc32FoldTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!crc32_folds()) {
+      GTEST_SKIP() << "PCLMULQDQ and SSE4.1 are not usable here: crc32 is "
+                      "slicing-by-8 alone";
+    }
+  }
+
+  // Pseudo-random bytes, the same on every run.
+  static std::vector<unsigned char> noise(std::size_t size) {
+    std::vector<unsigned char> bytes(size);
+    std::uint64_t x = 0xD1B54A32D192ED03u;
+    for (unsigned char& b : bytes) {
+      x = x * 6364136223846793005u + 1442695040888963407u;
+      b = static_cast<unsigned char>(x >> 56);
+    }
+    return bytes;
+  }
+
+  static std::uint32_t reference(const unsigned char* p, std::size_t size) {
+    std::uint32_t state = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+      state = crc32_bitwise(state, p[i]);
+    }
+    return ~state;
+  }
+};
+
+TEST_F(Crc32FoldTest, LongInputsMatchTheBitwiseReference) {
+  // Every length from the fold's 64-byte minimum through many of its
+  // 64-byte steps, plus 1 MiB, each from start offsets 0..15: every tail
+  // the fold leaves to the tables and every misalignment of its loads.
+  constexpr std::size_t kLong = std::size_t{1} << 20;
+  const std::vector<unsigned char> bytes = noise(kLong + 16);
+  std::size_t mismatches = 0;
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    const unsigned char* p = bytes.data() + offset;
+    std::uint32_t state = 0xFFFFFFFFu;
+    for (std::size_t length = 1; length <= 1024; ++length) {
+      state = crc32_bitwise(state, p[length - 1]);
+      if (length >= 64 && crc32(p, length) != ~state) {
+        ++mismatches;
+        ADD_FAILURE() << "offset " << offset << " length " << length;
+      }
+    }
+    if (crc32(p, kLong) != reference(p, kLong)) {
+      ++mismatches;
+      ADD_FAILURE() << "offset " << offset << " length " << kLong;
+    }
+    if (mismatches > 8) {
+      return;
+    }
+  }
+}
+
+TEST_F(Crc32FoldTest, JournalRecordsScanIntactAndCatchEveryBitFlip) {
+  // A sealed cell record (~800 B) is folded; flipping any one of its bits
+  // must change the CRC, so the scan stops there.
+  ResultSet result("test", "fold");
+  for (int k = 0; k < 12; ++k) {
+    std::string name = "fold_metric_";
+    name += std::to_string(k);
+    result.set(name, 1.0 / (k + 1), 0.001, 1000);
+  }
+  std::vector<std::byte> record = seal_record(
+      kRecordCellCommitted, cell_committed_record(0, 0, result).payload);
+  ASSERT_GE(record.size(), 256u);
+  const std::size_t framed = record.size() - 4;
+  const std::uint32_t crc = crc32(record.data(), framed);
+  EXPECT_EQ(crc, reference(reinterpret_cast<const unsigned char*>(
+                               record.data()),
+                           framed));
+  for (std::size_t bit = 0; bit < framed * 8; ++bit) {
+    record[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+    EXPECT_NE(crc32(record.data(), framed), crc) << "bit " << bit;
+    record[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
   }
 }
 
