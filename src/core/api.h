@@ -155,11 +155,13 @@
 //   runtime/   thread-based processes with real checkpoint/rollback
 //   core/      Scenario + EvalBackend + SweepGrid + cell/batch/shard
 //              types, HybridExecutor + ThreadLane/ForkLane
-//              (core/dispatch.h, core/lane.h); the specialized backends
-//              (density, ablation, structure) live here too
-//   net/       TCP sockets, framed connections, the session server both
-//              daemons run (SessionServer) and the worker daemon's batch
-//              handler (WorkerServer)
+//              (core/dispatch.h), FrameChannel and the coordinator's
+//              side of the Hello handshake (core/lane.h); the
+//              specialized backends (density, ablation, structure) live
+//              here too
+//   net/       TCP sockets, the session server both daemons run
+//              (SessionServer) and the worker daemon's batch handler
+//              (WorkerServer)
 //   fleet/     the shared-fleet subsystem: registry + membership
 //              (join/heartbeat/leave), fair-share leasing, pre-shared-key
 //              auth (HMAC-SHA256, signed leases), and FleetLane, the one
@@ -196,7 +198,6 @@
 #include "model/params.h"              // IWYU pragma: export
 #include "model/prp_model.h"           // IWYU pragma: export
 #include "model/sync_model.h"          // IWYU pragma: export
-#include "net/frame.h"                 // IWYU pragma: export
 #include "net/socket.h"                // IWYU pragma: export
 #include "net/worker.h"                // IWYU pragma: export
 #include "perf/bench.h"                // IWYU pragma: export

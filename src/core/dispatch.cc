@@ -15,6 +15,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Revive attempts per loss before a lost worker is given up on.
+constexpr int kReadmitMaxAttempts = 5;
+
 // Milliseconds until `when`, rounded up, clamped into poll()'s int range.
 int ms_until(Clock::time_point now, Clock::time_point when) {
   if (when <= now) {
@@ -131,9 +134,8 @@ std::vector<CellOutcome> HybridExecutor::run(
     }
 
     const std::uint64_t total = cells.size();
-    const std::uint64_t fingerprint = grid_fingerprint(cells);
     Hello hello;
-    hello.fingerprint = fingerprint;
+    hello.fingerprint = grid_fingerprint(cells);
     hello.total_cells = total;
     if (options_.no_cache) {
       hello.flags |= kHelloFlagNoCache;
@@ -181,7 +183,7 @@ std::vector<CellOutcome> HybridExecutor::run(
     const auto schedule_revive = [&](Slot& slot) {
       slot.revive_scheduled = false;
       if (!options_.readmit || !slot.worker->can_revive() ||
-          slot.failed_revives >= options_.readmit_max_attempts) {
+          slot.failed_revives >= kReadmitMaxAttempts) {
         return;
       }
       const long long base =
@@ -380,77 +382,52 @@ std::vector<CellOutcome> HybridExecutor::run(
     // Drains buffered frames on a worker awaiting its ack.  True = this
     // worker is settled (acked, or refused); false = still awaiting bytes.
     const auto check_ack = [&](Slot& slot) -> bool {
+      FrameChannel& channel = *slot.worker->channel();
       for (;;) {
-        wire::Frame ack;
+        wire::Frame frame;
+        HelloStep step;
         try {
-          if (!slot.worker->channel()->pop(&ack)) {
+          if (!channel.pop(&frame)) {
             return false;
           }
-          if (ack.type == kFrameResultBatch) {
-            // A stale answer from the previous sweep (this straggler's
-            // tail was stolen and committed elsewhere); discard.
-            continue;
-          }
-          if (ack.type == kFrameError) {
-            wire::Reader r(ack.payload);
-            refuse(slot, r.str(), /*revivable=*/false);
-            return true;
-          }
-          if (ack.type == kFrameAuthChallenge) {
-            // The worker wants proof of the pre-shared key before acking.
-            wire::Reader r(ack.payload);
-            const std::string challenge = r.str();
-            r.expect_done();
-            const std::string mac = slot.worker->auth_response(challenge);
-            if (mac.empty()) {
-              refuse(slot,
-                     "worker demands authentication but this coordinator "
-                     "holds no key (--auth-key-file)",
-                     /*revivable=*/false);
-              return true;
-            }
-            wire::Writer w;
-            w.str(mac);
-            if (!slot.worker->channel()->send(kFrameAuthResponse, w.data())) {
-              refuse(slot, "connection lost during authentication",
-                     /*revivable=*/true);
-              return true;
-            }
-            continue;  // the ack (or a refusal) follows
-          }
-          if (ack.type != kFrameHelloAck) {
-            refuse(slot, "unexpected frame type " + std::to_string(ack.type),
-                   /*revivable=*/false);
-            return true;
-          }
-          wire::Reader r(ack.payload);
-          const Hello echo = Hello::decode(r);
-          r.expect_done();
-          if (echo.protocol != hello.protocol ||
-              echo.wire_version != hello.wire_version ||
-              echo.fingerprint != fingerprint) {
-            refuse(slot, "ack does not echo this sweep's handshake",
-                   /*revivable=*/false);
-            return true;
-          }
-          slot.awaiting_ack = false;
-          admitted(slot);
-          return true;
+          step = read_hello_frame(hello, *slot.worker->hello_key(), frame);
         } catch (const wire::Error& e) {
           refuse(slot, std::string("malformed ack: ") + e.what(),
                  /*revivable=*/false);
           return true;
         }
+        switch (step.kind) {
+          case HelloStep::kWait:
+            continue;
+          case HelloStep::kAnswer:
+            if (!channel.send_frame(step.answer)) {
+              refuse(slot, "connection lost during authentication",
+                     /*revivable=*/true);
+              return true;
+            }
+            continue;  // the ack (or a refusal) follows
+          case HelloStep::kRefuse:
+            refuse(slot, step.refusal, /*revivable=*/false);
+            return true;
+          case HelloStep::kAdmit:
+            slot.awaiting_ack = false;
+            admitted(slot);
+            return true;
+        }
       }
     };
 
-    const auto send_hello = [&](Slot& slot) {
-      // Per-worker amendments: an authenticated worker flags the auth
-      // exchange, a fleet-leased worker attaches its registry grant.
-      Hello worker_hello = hello;
-      slot.worker->prepare_hello(worker_hello);
+    // A revived (or freshly started) worker with an open channel enters
+    // the pool: remote daemons re-handshake first, local workers are
+    // ready at once.
+    const auto admit = [&](Slot& slot) {
+      const HelloKey* key = slot.worker->hello_key();
+      if (key == nullptr) {
+        admitted(slot);
+        return;
+      }
       wire::Writer w;
-      worker_hello.encode(w);
+      keyed_hello(hello, *key).encode(w);
       if (!slot.worker->channel()->send(kFrameHello, w.data())) {
         refuse(slot, "connection lost", /*revivable=*/true);
         return;
@@ -462,17 +439,6 @@ std::vector<CellOutcome> HybridExecutor::run(
       // The ack (or stale frames ahead of it) may already sit in the
       // channel buffer from earlier traffic.
       check_ack(slot);
-    };
-
-    // A revived (or freshly started) worker with an open channel enters
-    // the pool: remote daemons re-handshake first, local workers are
-    // ready at once.
-    const auto admit = [&](Slot& slot) {
-      if (slot.worker->needs_handshake()) {
-        send_hello(slot);
-      } else {
-        admitted(slot);
-      }
     };
 
     const auto attempt_revive = [&](Slot& slot) {

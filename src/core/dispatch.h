@@ -57,9 +57,8 @@ struct DispatchOptions {
   bool quiet = false;  // no stderr notes on loss/steal/re-admission
   // Mid-sweep re-admission: a lost worker that can_revive() is retried on
   // a backoff timer (base = the worker's revive_delay_ms, doubled per
-  // consecutive failure), up to readmit_max_attempts tries per loss.
+  // consecutive failure), up to five tries per loss.
   bool readmit = true;
-  int readmit_max_attempts = 5;
   // Ask remote daemons to bypass their result cache (--no-cache): set the
   // kHelloFlagNoCache bit in this sweep's handshake.
   bool no_cache = false;

@@ -11,7 +11,6 @@
 #include "core/lane.h"
 #include "fleet/auth.h"
 #include "fleet/lane.h"
-#include "net/frame.h"
 #include "recov/journal.h"
 #include "recov/resume.h"
 
@@ -186,8 +185,8 @@ ExperimentOptions ExperimentOptions::parse(int argc, char** argv,
 // that streams each sweep's journal records the moment the sweep ends.
 struct SweepRunner::MergeSource {
   std::string name;
-  std::unique_ptr<net::FrameConn> conn;  // null for a file source
-  recov::JournalAnalysis journal;        // the file, or what has streamed in
+  std::unique_ptr<FrameChannel> conn;  // null for a file source
+  recov::JournalAnalysis journal;      // the file, or what has streamed in
 
   // Sweep `section` of this source, checked against the merging grid.  A
   // socket feeds each record it receives through the analysis pass's
@@ -238,8 +237,8 @@ SweepRunner::SweepRunner(const ExperimentOptions& opts,
       std::string why;
       try {
         if (net::parse_endpoint(input, &endpoint, &why)) {
-          source->conn = std::make_unique<net::FrameConn>(
-              net::connect_to(endpoint, /*retries=*/10));
+          source->conn = std::make_unique<FrameChannel>(
+              net::connect_to(endpoint, /*retries=*/10).release());
         } else {
           source->journal = recov::analyze_journal(input);
         }
@@ -570,8 +569,8 @@ void SweepRunner::stream_sweep(std::size_t section, std::uint64_t fingerprint,
   // sweeps are still computing.  The peer is accepted on the first sweep.
   if (shard_conn_ == nullptr) {
     try {
-      shard_conn_ =
-          std::make_unique<net::FrameConn>(shard_listener_->accept_client());
+      shard_conn_ = std::make_unique<FrameChannel>(
+          shard_listener_->accept_client().release());
     } catch (const net::Error& e) {
       std::fprintf(stderr, "shard: %s\n", e.what());
       std::exit(1);

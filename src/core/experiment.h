@@ -115,10 +115,7 @@
 namespace rbx {
 
 class HybridExecutor;  // core/dispatch.h; kept out of every bench TU
-
-namespace net {
-class FrameConn;  // net/frame.h
-}
+class FrameChannel;    // core/lane.h
 
 namespace recov {
 class JournalWriter;      // recov/journal.h; kept out of every bench TU
@@ -235,7 +232,7 @@ class SweepRunner {
   ExperimentOptions opts_;
   std::size_t sweep_index_ = 0;
   std::unique_ptr<net::Listener> shard_listener_;  // --shard-serve
-  std::unique_ptr<net::FrameConn> shard_conn_;     // the one merge peer
+  std::unique_ptr<FrameChannel> shard_conn_;       // the one merge peer
   std::vector<std::unique_ptr<MergeSource>> merge_sources_;
   // One executor for the whole bench run: its lanes (and the remote
   // lane's worker connections) persist across sweeps.  Null in merge mode.

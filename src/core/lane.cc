@@ -11,6 +11,7 @@
 
 #include "core/backend.h"
 #include "core/eval_context.h"
+#include "fleet/auth.h"
 #include "support/io.h"
 
 namespace rbx {
@@ -47,6 +48,69 @@ Hello Hello::decode(wire::Reader& r) {
     out.lease_sig = r.u64();
   }
   return out;
+}
+
+// --- the coordinator's side of the handshake -------------------------------
+
+Hello keyed_hello(Hello sweep, const HelloKey& key) {
+  if (!key.auth_key.empty()) {
+    sweep.flags |= kHelloFlagAuth;
+  }
+  if (key.leased) {
+    sweep.flags |= kHelloFlagLease;
+    sweep.lease_token = key.lease_token;
+    sweep.lease_sig = key.lease_sig;
+  }
+  return sweep;
+}
+
+HelloStep read_hello_frame(const Hello& sent, const HelloKey& key,
+                           const wire::Frame& frame) {
+  HelloStep step;
+  wire::Reader r(frame.payload);
+  switch (frame.type) {
+    case kFrameResultBatch:
+      // A straggler's stale answer from the previous sweep (its tail was
+      // stolen and committed elsewhere).
+      return step;
+    case kFrameAuthChallenge: {
+      const std::string challenge = r.str();
+      r.expect_done();
+      if (key.auth_key.empty()) {
+        step.kind = HelloStep::kRefuse;
+        step.refusal =
+            "worker demands authentication but this coordinator holds no "
+            "key (--auth-key-file)";
+        return step;
+      }
+      wire::Writer w;
+      w.str(fleet::auth_mac(key.auth_key, challenge));
+      step.kind = HelloStep::kAnswer;
+      step.answer = wire::seal_frame(kFrameAuthResponse, w.data());
+      return step;
+    }
+    case kFrameError:
+      step.kind = HelloStep::kRefuse;
+      step.refusal = r.str();
+      return step;
+    case kFrameHelloAck: {
+      const Hello echo = Hello::decode(r);
+      r.expect_done();
+      if (echo.protocol != sent.protocol ||
+          echo.wire_version != sent.wire_version ||
+          echo.fingerprint != sent.fingerprint) {
+        step.kind = HelloStep::kRefuse;
+        step.refusal = "ack does not echo this sweep's handshake";
+        return step;
+      }
+      step.kind = HelloStep::kAdmit;
+      return step;
+    }
+    default:
+      step.kind = HelloStep::kRefuse;
+      step.refusal = "unexpected frame type " + std::to_string(frame.type);
+      return step;
+  }
 }
 
 // --- FrameChannel ------------------------------------------------------------

@@ -19,10 +19,23 @@
 //                handshake, and a lost worker is re-admitted mid-sweep
 //                once it reconnects and re-handshakes.
 //
-// The handshake frames (Hello / HelloAck / Error) live here rather than
-// in net/ because the shared dispatch loop validates acks itself; they
-// are pure wire codecs with no socket dependency, and net/frame.h
-// re-exports them under rbx::net for the worker daemon and its tests.
+// Every remote sweep opens with a Hello handshake (one connection serves
+// many sweeps):
+//
+//   coordinator -> worker   kFrameHello          versions, grid fingerprint
+//   worker -> coordinator   kFrameAuthChallenge  keyed workers (fleet/auth.h)
+//   coordinator -> worker   kFrameAuthResponse   HMAC(key, challenge)
+//   worker -> coordinator   kFrameHelloAck       the Hello echoed, or
+//                           kFrameError          a refusal
+//
+// A worker refuses versions it does not speak, so two builds that would
+// decode each other's doubles differently fail the handshake rather than
+// print wrong tables, and a coordinator admits a worker - a re-admitted
+// one too - only on an ack that echoes its Hello.  Frames on one
+// connection stay ordered, so a straggler's stale answers from the
+// previous sweep arrive before the ack.  The coordinator's side lives
+// here (keyed_hello, read_hello_frame), driven by the dispatch loop and
+// the fleet registry client; the worker's is net::SessionServer.
 #pragma once
 
 #include <sys/types.h>
@@ -85,12 +98,49 @@ struct Hello {
   static Hello decode(wire::Reader& r);
 };
 
+// --- the coordinator's side of the handshake -------------------------------
+
+// What a coordinator holds for one keyed worker: the pre-shared key, and
+// the registry lease when one was granted (a --connect member has none).
+struct HelloKey {
+  std::string auth_key;  // empty = no key
+  bool leased = false;
+  std::uint64_t lease_token = 0;
+  std::uint64_t lease_sig = 0;
+};
+
+// The Hello a keyed worker is sent: `sweep` with kHelloFlagAuth when a key
+// is held, and with the lease fields when one was granted.
+Hello keyed_hello(Hello sweep, const HelloKey& key);
+
+// What to do with one frame that arrived while the ack was pending.
+struct HelloStep {
+  enum Kind {
+    kWait,    // nothing to do; read the next frame
+    kAnswer,  // send `answer` (a sealed kFrameAuthResponse), then read on
+    kAdmit,   // the ack echoes the Hello: the worker may take work
+    kRefuse,  // `refusal` says why the worker must not take work
+  };
+  Kind kind = kWait;
+  std::vector<std::byte> answer;
+  std::string refusal;
+};
+
+// Reads one such frame against the Hello that was `sent`: a stale
+// kFrameResultBatch waits, a challenge is answered under key.auth_key, an
+// error frame refuses with the peer's message, and an ack admits only if
+// it echoes sent's protocol, wire version and fingerprint.  Throws
+// wire::Error on a malformed payload.
+HelloStep read_hello_frame(const Hello& sent, const HelloKey& key,
+                           const wire::Frame& frame);
+
 // --- FrameChannel ---------------------------------------------------------
 
 // Framed traffic over one owned stream fd (a socketpair end or a TCP
 // socket): buffered reassembly of frames that arrive split across reads,
 // and poll-friendly non-greedy fills for the coordinator's multiplexed
-// event loop.  net::FrameConn is this class adopting a net::Socket.
+// event loop.  The daemons and the merge's sockets adopt a net::Socket's
+// fd with Socket::release().
 class FrameChannel {
  public:
   FrameChannel() = default;
@@ -153,24 +203,11 @@ class LaneWorker {
   // cannot execute the sweep's local cell_fn closure).
   virtual bool needs_plan() const { return false; }
 
-  // Whether every sweep must open with a Hello/HelloAck handshake on this
-  // worker (remote daemons validate protocol/wire versions and the grid
-  // fingerprint; in-process workers share the build and skip it).
-  virtual bool needs_handshake() const { return false; }
-
-  // Lets a worker amend the sweep's Hello before it is sent - an
-  // authenticated worker sets kHelloFlagAuth, a fleet-leased worker adds
-  // its lease token and signature.  Default: the Hello goes out as-is.
-  virtual void prepare_hello(Hello& hello) const { (void)hello; }
-
-  // Answers a kFrameAuthChallenge received during the handshake: the
-  // HMAC over `challenge` under the worker's pre-shared key (fleet/auth.h).
-  // Empty = this worker holds no key (the dispatch loop refuses the
-  // handshake rather than answering with garbage).
-  virtual std::string auth_response(const std::string& challenge) const {
-    (void)challenge;
-    return {};
-  }
+  // The key every sweep's Hello handshake on this worker runs under
+  // (keyed_hello, read_hello_frame); null = no handshake.  Remote daemons
+  // check the protocol and wire versions and echo the grid fingerprint;
+  // in-process workers share the build and skip it.
+  virtual const HelloKey* hello_key() const { return nullptr; }
 
   // Drops the channel (and hangs up on whatever is behind it).
   virtual void retire() = 0;

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "fleet/auth.h"
-
 namespace rbx {
 namespace fleet {
 
@@ -24,48 +22,49 @@ void RegistryClient::connect() {
     return;
   }
   conn_.reset();
-  net::Socket sock =
-      net::connect_to(options_.registry, options_.connect_retries);
-  auto conn = std::make_unique<net::FrameConn>(std::move(sock));
+  auto conn = std::make_unique<FrameChannel>(
+      net::connect_to(options_.registry, options_.connect_retries)
+          .release());
 
-  Hello hello;  // fingerprint/total_cells stay 0: no grid, just membership
-  if (!options_.auth_key.empty()) {
-    hello.flags |= kHelloFlagAuth;
-  }
+  const Hello hello;  // fingerprint/total_cells stay 0: no grid
+  HelloKey key;       // and no lease, just membership
+  key.auth_key = options_.auth_key;
   wire::Writer w;
-  hello.encode(w);
+  keyed_hello(hello, key).encode(w);
   if (!conn->send(kFrameHello, w.data())) {
     throw net::Error("fleet: registry " + options_.registry.to_string() +
                      " hung up during the handshake");
   }
   for (;;) {
     wire::Frame frame;
-    if (!conn->recv(&frame)) {
-      throw net::Error("fleet: registry " + options_.registry.to_string() +
-                       " closed the connection before acking the handshake");
-    }
-    if (frame.type == kFrameError) {
-      wire::Reader r(frame.payload);
-      throw net::Error("fleet: registry refused the handshake: " + r.str());
-    }
-    if (frame.type == kFrameAuthChallenge) {
-      wire::Reader r(frame.payload);
-      const std::string challenge = r.str();
-      r.expect_done();
-      wire::Writer cw;
-      cw.str(auth_mac(options_.auth_key, challenge));
-      if (!conn->send(kFrameAuthResponse, cw.data())) {
-        throw net::Error("fleet: registry hung up during authentication");
+    HelloStep step;
+    try {
+      if (!conn->recv(&frame)) {
+        throw net::Error("fleet: registry " + options_.registry.to_string() +
+                         " closed the connection before acking the "
+                         "handshake");
       }
-      continue;
+      step = read_hello_frame(hello, key, frame);
+    } catch (const wire::Error& e) {
+      throw net::Error(std::string("fleet: corrupt registry reply: ") +
+                       e.what());
     }
-    if (frame.type == kFrameHelloAck) {
-      break;
+    switch (step.kind) {
+      case HelloStep::kWait:
+        continue;
+      case HelloStep::kAnswer:
+        if (!conn->send_frame(step.answer)) {
+          throw net::Error("fleet: registry hung up during authentication");
+        }
+        continue;
+      case HelloStep::kRefuse:
+        throw net::Error("fleet: registry refused the handshake: " +
+                         step.refusal);
+      case HelloStep::kAdmit:
+        conn_ = std::move(conn);
+        return;
     }
-    throw net::Error("fleet: registry sent unexpected frame type " +
-                     std::to_string(frame.type) + " during the handshake");
   }
-  conn_ = std::move(conn);
 }
 
 wire::Frame RegistryClient::roundtrip(std::uint16_t type,

@@ -1,8 +1,9 @@
 // Client sides of the fleet registry conversation.
 //
 // RegistryClient is the blocking request/reply client both roles share:
-// it opens a framed connection, runs the versioned Hello handshake
-// (answering the HMAC challenge when a key is set), and then speaks
+// it opens a framed connection, runs the versioned Hello handshake through
+// the coordinator's handshake codec (core/lane.h: the HMAC challenge
+// answered when a key is set, the ack's echo checked), and then speaks
 // Join/Heartbeat/Leave/Resolve.  Refusals arrive as kFrameError frames
 // and are rethrown as net::Error with the registry's message - a
 // mis-keyed peer fails loudly and immediately, never hangs.
@@ -20,8 +21,8 @@
 #include <string>
 #include <thread>
 
+#include "core/lane.h"
 #include "fleet/proto.h"
-#include "net/frame.h"
 #include "net/socket.h"
 
 namespace rbx {
@@ -60,7 +61,7 @@ class RegistryClient {
                         std::uint16_t expect);
 
   RegistryClientOptions options_;
-  std::unique_ptr<net::FrameConn> conn_;
+  std::unique_ptr<FrameChannel> conn_;
 };
 
 struct MembershipOptions {

@@ -5,46 +5,30 @@
 #include <cstdio>
 #include <utility>
 
-#include "fleet/auth.h"
-
 namespace rbx {
 namespace fleet {
 
 struct FleetLane::FleetWorker final : LaneWorker {
-  FleetWorker(FleetLane* lane, const GrantedMember& grant)
-      : lane_(lane) { set_grant(grant); }
+  FleetWorker(FleetLane* lane, const GrantedMember& grant) : lane_(lane) {
+    key_.auth_key = lane_->options_.auth_key;
+    set_grant(grant);
+  }
 
   void set_grant(const GrantedMember& grant) {
     endpoint_.host = grant.host;
     endpoint_.port = grant.port;
-    lease_token_ = grant.lease_token;
-    lease_sig_ = grant.lease_sig;
+    // Only a registry grant carries a lease; a static member's Hello goes
+    // out unleased, and a keyed daemon still authenticates it.
+    key_.leased = !lane_->static_members();
+    key_.lease_token = grant.lease_token;
+    key_.lease_sig = grant.lease_sig;
   }
 
   std::string describe() const override { return endpoint_.to_string(); }
   FrameChannel* channel() override { return &channel_; }
   bool needs_plan() const override { return true; }
-  bool needs_handshake() const override { return true; }
+  const HelloKey* hello_key() const override { return &key_; }
   void retire() override { channel_.close(); }
-
-  void prepare_hello(Hello& hello) const override {
-    if (!lane_->options_.auth_key.empty()) {
-      hello.flags |= kHelloFlagAuth;
-    }
-    // Only a registry grant carries a lease; a static member's Hello goes
-    // out unleased, and a keyed daemon still authenticates it.
-    if (!lane_->static_members()) {
-      hello.flags |= kHelloFlagLease;
-      hello.lease_token = lease_token_;
-      hello.lease_sig = lease_sig_;
-    }
-  }
-  std::string auth_response(const std::string& challenge) const override {
-    if (lane_->options_.auth_key.empty()) {
-      return {};
-    }
-    return auth_mac(lane_->options_.auth_key, challenge);
-  }
 
   // A fleet worker is always worth reviving: even if *this* daemon is
   // gone for good (or was never reachable), another member may take its
@@ -80,8 +64,7 @@ struct FleetLane::FleetWorker final : LaneWorker {
 
   FleetLane* lane_;
   net::Endpoint endpoint_;
-  std::uint64_t lease_token_ = 0;
-  std::uint64_t lease_sig_ = 0;
+  HelloKey key_;
   FrameChannel channel_;
 };
 

@@ -169,7 +169,7 @@ class MembershipSession : public net::SessionHandler {
   MembershipSession(MemberTable& table, bool quiet)
       : table_(table), quiet_(quiet) {}
 
-  net::Verdict serve(net::FrameConn& conn,
+  net::Verdict serve(FrameChannel& conn,
                      const wire::Frame& frame) override {
     if (frame.type == kFrameFleetJoin || frame.type == kFrameFleetHeartbeat) {
       wire::Reader r(frame.payload);
@@ -215,7 +215,7 @@ class MembershipSession : public net::SessionHandler {
   }
 
  private:
-  static net::Verdict answer(net::FrameConn& conn, std::uint16_t type,
+  static net::Verdict answer(FrameChannel& conn, std::uint16_t type,
                              const std::vector<std::byte>& payload) {
     return conn.send(type, payload) ? net::Verdict::kServed
                                     : net::Verdict::kHangUp;

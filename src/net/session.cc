@@ -14,7 +14,7 @@ namespace net {
 
 namespace {
 
-bool send_error(FrameConn& conn, const std::string& message) {
+bool send_error(FrameChannel& conn, const std::string& message) {
   wire::Writer w;
   w.str(message);
   return conn.send(kFrameError, w.data());
@@ -26,7 +26,7 @@ bool send_error(FrameConn& conn, const std::string& message) {
 // with unread data makes the kernel send RST, which can destroy the
 // refusal frame before the peer reads it; the "loud" refusal would
 // arrive as a bare connection reset.
-void linger_close(FrameConn& conn) {
+void linger_close(FrameChannel& conn) {
   if (!conn.open()) {
     return;
   }
@@ -171,7 +171,7 @@ void SessionServer::run_session(Session& session) {
   }
 }
 
-void SessionServer::refuse_full(FrameConn conn, std::size_t active) {
+void SessionServer::refuse_full(FrameChannel conn, std::size_t active) {
   if (!quiet_) {
     std::fprintf(stderr, "%s: refused a %s (at the %s=%zu cap)\n",
                  names_.program, names_.peer, names_.cap, max_sessions_);
@@ -192,7 +192,7 @@ void SessionServer::refuse_full(FrameConn conn, std::size_t active) {
   }).detach();
 }
 
-bool SessionServer::serve_frames(FrameConn& conn) {
+bool SessionServer::serve_frames(FrameChannel& conn) {
   const std::unique_ptr<SessionHandler> handler = open_();
   const std::string self = names_.self;
   bool admitted = false;
@@ -243,7 +243,7 @@ bool SessionServer::serve_frames(FrameConn& conn) {
   }
 }
 
-bool SessionServer::check_hello(FrameConn& conn, const wire::Frame& frame,
+bool SessionServer::check_hello(FrameChannel& conn, const wire::Frame& frame,
                                 SessionHandler& handler) {
   wire::Reader r(frame.payload);
   const Hello hello = Hello::decode(r);

@@ -9,7 +9,7 @@
 // wedged daemon.  `once` serves one connection through the same session
 // path, then serve() returns.
 //
-// Every session opens with the versioned Hello handshake of net/frame.h,
+// Every session opens with the versioned Hello handshake of core/lane.h,
 // and when the daemon holds a pre-shared key, with the HMAC
 // challenge/response of fleet/auth.h inside it.  Nothing is served
 // before it: a frame sent first is refused with kFrameError and the
@@ -31,7 +31,7 @@
 #include <thread>
 #include <utility>
 
-#include "net/frame.h"
+#include "core/lane.h"
 #include "net/socket.h"
 #include "support/wire.h"
 
@@ -58,7 +58,7 @@ class SessionHandler {
   virtual std::string admit(const Hello&) { return {}; }
   // One frame of an admitted session.  A wire::Error thrown here is
   // refused as a malformed payload.
-  virtual Verdict serve(FrameConn& conn, const wire::Frame& frame) = 0;
+  virtual Verdict serve(FrameChannel& conn, const wire::Frame& frame) = 0;
 };
 
 // How a daemon names itself in its refusals and stderr notes.
@@ -93,8 +93,8 @@ class SessionServer {
 
  private:
   struct Session {
-    explicit Session(Socket sock) : conn(std::move(sock)) {}
-    FrameConn conn;
+    explicit Session(Socket sock) : conn(sock.release()) {}
+    FrameChannel conn;
     std::thread thread;
     std::atomic<bool> done{false};
   };
@@ -102,12 +102,12 @@ class SessionServer {
   // One session until it ends, then its hang-up and retirement.
   void run_session(Session& session);
   // The session's frame loop; false = its handler failed the server.
-  bool serve_frames(FrameConn& conn);
+  bool serve_frames(FrameChannel& conn);
   // The handshake of one Hello; false = refused (the session ends).
-  bool check_hello(FrameConn& conn, const wire::Frame& frame,
+  bool check_hello(FrameChannel& conn, const wire::Frame& frame,
                    SessionHandler& handler);
   // Refuses a peer beyond the cap on a detached thread.
-  void refuse_full(FrameConn conn, std::size_t active);
+  void refuse_full(FrameChannel conn, std::size_t active);
   // Joins sessions whose threads have finished; with `all`, aborts and
   // joins every session (shutdown).
   void reap_sessions(bool all);

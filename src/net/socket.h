@@ -3,9 +3,9 @@
 //
 // Everything here is deliberately boring POSIX: blocking sockets, IPv4/
 // IPv6 via getaddrinfo, EINTR handled by support/io.h.  The interesting
-// protocol lives one layer up in net/frame.h (framed wire traffic),
-// fleet/lane.h (the coordinator's remote lane) and net/session.h (the
-// server both daemons run).
+// protocol lives one layer up in core/lane.h (framed wire traffic and the
+// Hello handshake), fleet/lane.h (the coordinator's remote lane) and
+// net/session.h (the server both daemons run).
 //
 // Errors are net::Error (a std::runtime_error): a refused connection, an
 // unresolvable host or a failed bind are infrastructure failures the

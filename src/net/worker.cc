@@ -75,7 +75,7 @@ class CoordinatorSession : public SessionHandler {
     return {};
   }
 
-  Verdict serve(FrameConn& conn, const wire::Frame& frame) override {
+  Verdict serve(FrameChannel& conn, const wire::Frame& frame) override {
     if (frame.type != kFrameCellBatch) {
       return Verdict::kUnexpected;
     }

@@ -3,6 +3,9 @@
 // crashes are recovered by respawn + re-admission instead of shrinking
 // the pool, a respawned fork child never inherits a lock a thread-lane
 // worker held, and the scheduler's counters expose what recovery did.
+// The coordinator's handshake reader (core/lane.h), which the dispatch
+// loop drives for every keyed worker, is checked frame type by frame
+// type at the end.
 #include "core/dispatch.h"
 
 #include <signal.h>
@@ -22,6 +25,7 @@
 #include "core/executor.h"
 #include "core/lane.h"
 #include "core/sweep.h"
+#include "fleet/auth.h"
 #include "lane_sets.h"
 
 namespace rbx {
@@ -220,6 +224,157 @@ TEST(DispatchTest, ForkRespawnWhileThreadsHoldTheAnalyticCacheNeverHangs) {
   EXPECT_GE(shared->kills.load(), 1);  // the respawn path actually ran
   EXPECT_GE(hybrid.readmitted_workers(), 1u);
   ::munmap(mem, sizeof(Shared));
+}
+
+// --- the coordinator's handshake reader ------------------------------------
+
+Hello sweep_hello() {
+  Hello hello;
+  hello.fingerprint = 0x5eed5eed12345678ULL;
+  hello.total_cells = 24;
+  return hello;
+}
+
+HelloKey fleet_key() {
+  HelloKey key;
+  key.auth_key = "fleet-key";
+  return key;
+}
+
+wire::Frame frame_of(std::uint16_t type, const wire::Writer& w) {
+  return wire::Frame{type, w.data()};
+}
+
+wire::Frame str_frame(std::uint16_t type, const std::string& text) {
+  wire::Writer w;
+  w.str(text);
+  return frame_of(type, w);
+}
+
+wire::Frame ack_of(const Hello& echo) {
+  wire::Writer w;
+  echo.encode(w);
+  return frame_of(kFrameHelloAck, w);
+}
+
+TEST(HelloReaderTest, StaleResultBatchKeepsWaiting) {
+  ResultBatch stale;
+  stale.entries.push_back({3, CellOutcome{}});
+  wire::Writer w;
+  stale.encode(w);
+  const HelloStep step = read_hello_frame(
+      sweep_hello(), fleet_key(), frame_of(kFrameResultBatch, w));
+  EXPECT_EQ(step.kind, HelloStep::kWait);
+  EXPECT_TRUE(step.answer.empty());
+  EXPECT_TRUE(step.refusal.empty());
+}
+
+TEST(HelloReaderTest, ChallengeIsAnsweredUnderTheKey) {
+  const HelloStep step =
+      read_hello_frame(sweep_hello(), fleet_key(),
+                       str_frame(kFrameAuthChallenge, "nonce-0123456789"));
+  ASSERT_EQ(step.kind, HelloStep::kAnswer);
+  wire::Frame answer;
+  std::size_t consumed = 0;
+  ASSERT_TRUE(wire::parse_frame(step.answer.data(), step.answer.size(),
+                                &answer, &consumed));
+  EXPECT_EQ(consumed, step.answer.size());
+  EXPECT_EQ(answer.type, kFrameAuthResponse);
+  wire::Reader r(answer.payload);
+  EXPECT_EQ(r.str(), fleet::auth_mac("fleet-key", "nonce-0123456789"));
+  r.expect_done();
+}
+
+TEST(HelloReaderTest, ChallengeWithoutAKeyIsRefused) {
+  const HelloStep step =
+      read_hello_frame(sweep_hello(), HelloKey{},
+                       str_frame(kFrameAuthChallenge, "nonce-0123456789"));
+  EXPECT_EQ(step.kind, HelloStep::kRefuse);
+  EXPECT_TRUE(step.answer.empty());
+  EXPECT_EQ(step.refusal,
+            "worker demands authentication but this coordinator holds no "
+            "key (--auth-key-file)");
+}
+
+TEST(HelloReaderTest, ErrorFrameRefusesWithThePeersMessage) {
+  const HelloStep step = read_hello_frame(
+      sweep_hello(), fleet_key(),
+      str_frame(kFrameError, "worker: authentication failed"));
+  EXPECT_EQ(step.kind, HelloStep::kRefuse);
+  EXPECT_EQ(step.refusal, "worker: authentication failed");
+}
+
+TEST(HelloReaderTest, OnlyAnAckThatEchoesTheHelloAdmits) {
+  const Hello sent = sweep_hello();
+  // The worker may echo the flags and lease of the keyed Hello it got;
+  // only the versions and the fingerprint must come back unchanged.
+  HelloKey leased = fleet_key();
+  leased.leased = true;
+  leased.lease_token = 9;
+  leased.lease_sig = 77;
+  EXPECT_EQ(read_hello_frame(sent, leased, ack_of(keyed_hello(sent, leased)))
+                .kind,
+            HelloStep::kAdmit);
+
+  Hello protocol = sent;
+  protocol.protocol += 1;
+  Hello wire_version = sent;
+  wire_version.wire_version += 1;
+  Hello fingerprint = sent;
+  fingerprint.fingerprint ^= 1;
+  for (const Hello& echo : {protocol, wire_version, fingerprint}) {
+    const HelloStep step = read_hello_frame(sent, leased, ack_of(echo));
+    EXPECT_EQ(step.kind, HelloStep::kRefuse);
+    EXPECT_EQ(step.refusal, "ack does not echo this sweep's handshake");
+  }
+}
+
+TEST(HelloReaderTest, UnknownFrameTypeIsRefused) {
+  for (const std::uint16_t type : {kFrameCellBatch, kFrameHello,
+                                   kFrameAuthResponse,
+                                   static_cast<std::uint16_t>(999)}) {
+    const HelloStep step =
+        read_hello_frame(sweep_hello(), fleet_key(), wire::Frame{type, {}});
+    EXPECT_EQ(step.kind, HelloStep::kRefuse);
+    EXPECT_EQ(step.refusal, "unexpected frame type " + std::to_string(type));
+  }
+}
+
+TEST(HelloReaderTest, MalformedPayloadsThrowWireError) {
+  wire::Writer w;
+  sweep_hello().encode(w);
+  w.u8(0);  // one byte past the Hello
+  EXPECT_THROW(read_hello_frame(sweep_hello(), fleet_key(),
+                                frame_of(kFrameHelloAck, w)),
+               wire::Error);
+  EXPECT_THROW(read_hello_frame(sweep_hello(), fleet_key(),
+                                wire::Frame{kFrameAuthChallenge, {}}),
+               wire::Error);
+  EXPECT_THROW(read_hello_frame(sweep_hello(), fleet_key(),
+                                wire::Frame{kFrameError, {}}),
+               wire::Error);
+}
+
+TEST(HelloReaderTest, KeyedHelloCarriesTheAuthFlagAndAGrantedLease) {
+  const Hello sent = sweep_hello();
+  const Hello keyless = keyed_hello(sent, HelloKey{});
+  EXPECT_EQ(keyless.flags, sent.flags);
+  EXPECT_EQ(keyless.lease_token, 0u);
+
+  HelloKey key = fleet_key();
+  key.lease_token = 5;  // not granted: the lease stays off the Hello
+  const Hello connect = keyed_hello(sent, key);
+  EXPECT_EQ(connect.flags, kHelloFlagAuth);
+  EXPECT_EQ(connect.lease_token, 0u);
+
+  key.leased = true;
+  key.lease_sig = 6;
+  const Hello fleet = keyed_hello(sent, key);
+  EXPECT_EQ(fleet.flags, kHelloFlagAuth | kHelloFlagLease);
+  EXPECT_EQ(fleet.lease_token, 5u);
+  EXPECT_EQ(fleet.lease_sig, 6u);
+  EXPECT_EQ(fleet.fingerprint, sent.fingerprint);
+  EXPECT_EQ(fleet.total_cells, sent.total_cells);
 }
 
 }  // namespace

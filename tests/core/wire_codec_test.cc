@@ -1,16 +1,26 @@
 // Round-trip coverage for the Scenario and ResultSet wire codecs - the
 // bit-exactness these guarantee is what lets a sweep shard across
-// processes and hosts without changing a single printed digit.
+// processes and hosts without changing a single printed digit - and a
+// seeded mutation pass over the frames a coordinator reads during the
+// Hello handshake.
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/executor.h"
+#include "core/lane.h"
 #include "core/result.h"
 #include "core/scenario.h"
+#include "support/io.h"
+#include "support/rng.h"
 #include "support/wire.h"
 
 namespace rbx {
@@ -269,6 +279,171 @@ TEST(FrameTruncation, IncompleteFramesAskForMoreBytesInsteadOfThrowing) {
   ASSERT_TRUE(wire::parse_frame(frame.data(), frame.size(), &out, &consumed));
   EXPECT_EQ(consumed, frame.size());
   EXPECT_EQ(out.type, 42);
+}
+
+// --- the handshake frames under mutation -----------------------------------
+//
+// A coordinator waiting for a worker's ack reads whatever the socket
+// carries: FrameChannel::fill and pop reassemble frames, read_hello_frame
+// decides on each (an ack through Hello::decode).  Every cut, every
+// single-bit flip and a seeded set of random corruptions of the three
+// frames a worker sends there must end in a decision - more bytes wanted,
+// or a HelloStep - or in a wire::Error, never a crash.
+
+struct CoordinatorRead {
+  bool threw = false;
+  std::vector<HelloStep> steps;
+};
+
+// `bytes` as they would arrive on a coordinator's socket, read to the end.
+CoordinatorRead read_as_coordinator(const std::vector<std::byte>& bytes,
+                                    const Hello& sent, const HelloKey& key) {
+  int sv[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  FrameChannel channel(sv[0]);
+  EXPECT_TRUE(io::send_all(sv[1], bytes.data(), bytes.size()));
+  ::close(sv[1]);
+  while (channel.fill()) {
+  }
+  CoordinatorRead out;
+  try {
+    wire::Frame frame;
+    while (channel.pop(&frame)) {
+      out.steps.push_back(read_hello_frame(sent, key, frame));
+    }
+  } catch (const wire::Error&) {
+    out.threw = true;
+  }
+  return out;
+}
+
+// A step must be well formed whatever the bytes were: an answer is one
+// sealed kFrameAuthResponse, and only a refusal carries a reason.
+void expect_well_formed(const HelloStep& step, const std::string& what) {
+  if (step.kind == HelloStep::kAnswer) {
+    wire::Frame answer;
+    std::size_t consumed = 0;
+    ASSERT_TRUE(wire::parse_frame(step.answer.data(), step.answer.size(),
+                                  &answer, &consumed))
+        << what;
+    EXPECT_EQ(consumed, step.answer.size()) << what;
+    EXPECT_EQ(answer.type, kFrameAuthResponse) << what;
+  } else {
+    EXPECT_TRUE(step.answer.empty()) << what;
+  }
+  if (step.kind != HelloStep::kRefuse) {
+    EXPECT_TRUE(step.refusal.empty()) << what;
+  }
+}
+
+TEST(HelloHandshakeFuzz, EveryCutAndBitFlipEndsInADecisionOrAWireError) {
+  Rng rng(20261019);
+  Hello sent;
+  sent.fingerprint = rng.next_u64();
+  sent.total_cells = 24;
+  HelloKey key;
+  key.auth_key = "fleet-key";
+  key.leased = true;
+  key.lease_token = rng.next_u64();
+  key.lease_sig = rng.next_u64();
+
+  wire::Writer ack;
+  keyed_hello(sent, key).encode(ack);
+  std::string nonce;
+  for (int i = 0; i < 16; ++i) {
+    nonce.push_back(static_cast<char>(rng.next_u64() & 0xff));
+  }
+  wire::Writer challenge;
+  challenge.str(nonce);
+  wire::Writer error;
+  error.str("worker: authentication failed (wrong --auth-key-file?)");
+  const struct {
+    std::uint16_t type;
+    std::vector<std::byte> payload;
+  } frames[] = {{kFrameHelloAck, ack.data()},
+                {kFrameAuthChallenge, challenge.data()},
+                {kFrameError, error.data()}};
+
+  for (const auto& f : frames) {
+    const std::vector<std::byte> sealed = wire::seal_frame(f.type, f.payload);
+    const std::size_t header = sealed.size() - f.payload.size();
+    // The unmutated frame decides at once.
+    const CoordinatorRead whole = read_as_coordinator(sealed, sent, key);
+    ASSERT_FALSE(whole.threw);
+    ASSERT_EQ(whole.steps.size(), 1u);
+    EXPECT_NE(whole.steps[0].kind, HelloStep::kWait);
+
+    for (std::size_t keep = 0; keep < sealed.size(); ++keep) {
+      const std::string what =
+          "type " + std::to_string(f.type) + " cut to " +
+          std::to_string(keep) + " bytes";
+      // A cut frame on a socket is more bytes wanted, not an error.
+      const CoordinatorRead cut = read_as_coordinator(
+          std::vector<std::byte>(sealed.begin(),
+                                 sealed.begin() +
+                                     static_cast<std::ptrdiff_t>(keep)),
+          sent, key);
+      EXPECT_FALSE(cut.threw) << what;
+      EXPECT_TRUE(cut.steps.empty()) << what;
+      // A cut payload inside a whole frame is malformed.
+      if (keep < f.payload.size()) {
+        const wire::Frame frame{
+            f.type, std::vector<std::byte>(
+                        f.payload.begin(),
+                        f.payload.begin() +
+                            static_cast<std::ptrdiff_t>(keep))};
+        EXPECT_THROW(read_hello_frame(sent, key, frame), wire::Error)
+            << what;
+      }
+    }
+
+    for (std::size_t bit = 0; bit < sealed.size() * 8; ++bit) {
+      const std::string what = "type " + std::to_string(f.type) +
+                               " bit " + std::to_string(bit) + " flipped";
+      std::vector<std::byte> flipped = sealed;
+      flipped[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+      const CoordinatorRead got = read_as_coordinator(flipped, sent, key);
+      ASSERT_LE(got.steps.size(), 1u) << what;
+      for (const HelloStep& step : got.steps) {
+        expect_well_formed(step, what);
+        // An ack admits only while the echoed versions and fingerprint
+        // (the payload's first 14 bytes) and the header are intact.
+        if (step.kind == HelloStep::kAdmit) {
+          EXPECT_EQ(f.type, kFrameHelloAck) << what;
+          EXPECT_GE(bit / 8, header + 14) << what;
+        }
+      }
+      // Hello::decode alone, on the flipped payload bytes.
+      if (f.type == kFrameHelloAck && bit / 8 >= header) {
+        const std::vector<std::byte> payload(
+            flipped.begin() + static_cast<std::ptrdiff_t>(header),
+            flipped.end());
+        wire::Reader r(payload);
+        try {
+          Hello::decode(r);
+        } catch (const wire::Error&) {
+        }
+      }
+    }
+  }
+
+  // Seeded random corruption: up to eight bytes overwritten, and a
+  // random cut, on a random one of the three frames.
+  for (int trial = 0; trial < 3000; ++trial) {
+    const auto& f = frames[rng.uniform_index(3)];
+    std::vector<std::byte> bytes = wire::seal_frame(f.type, f.payload);
+    const std::uint64_t edits = 1 + rng.uniform_index(8);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+      bytes[rng.uniform_index(bytes.size())] =
+          static_cast<std::byte>(rng.next_u64() & 0xff);
+    }
+    bytes.resize(1 + rng.uniform_index(bytes.size()));
+    const CoordinatorRead got = read_as_coordinator(bytes, sent, key);
+    ASSERT_LE(got.steps.size(), 1u) << "trial " << trial;
+    for (const HelloStep& step : got.steps) {
+      expect_well_formed(step, "trial " + std::to_string(trial));
+    }
+  }
 }
 
 }  // namespace

@@ -29,7 +29,6 @@
 #include "fleet/client.h"
 #include "fleet/registry.h"
 #include "lane_sets.h"
-#include "net/frame.h"
 #include "net/socket.h"
 #include "net/worker.h"
 
@@ -230,17 +229,17 @@ TEST(FleetLaneTest, StaticMemberHelloIsAuthFlaggedButNeverLeased) {
   // A listener standing in for a daemon captures the Hello a keyed
   // --connect lane sends, then refuses it so the sweep ends.
   net::Listener listener(0);
-  net::Hello seen;
+  Hello seen;
   std::thread fake([&]() {
-    net::FrameConn conn(listener.accept_client());
+    FrameChannel conn(listener.accept_client().release());
     wire::Frame frame;
-    if (conn.recv(&frame) && frame.type == net::kFrameHello) {
+    if (conn.recv(&frame) && frame.type == kFrameHello) {
       wire::Reader r(frame.payload);
-      seen = net::Hello::decode(r);
+      seen = Hello::decode(r);
     }
     wire::Writer w;
     w.str("test: handshake captured");
-    conn.send(net::kFrameError, w.data());
+    conn.send(kFrameError, w.data());
   });
 
   auto options =
@@ -331,10 +330,10 @@ TEST(FleetLaneTest, OptionalLaneSurvivesAnUnreachableRegistry) {
 
 // --- Worker-side refusals (the loud-failure contract) -----------------------
 
-wire::Frame handshake_reply(net::FrameConn& conn, const net::Hello& hello) {
+wire::Frame handshake_reply(FrameChannel& conn, const Hello& hello) {
   wire::Writer w;
   hello.encode(w);
-  EXPECT_TRUE(conn.send(net::kFrameHello, w.data()));
+  EXPECT_TRUE(conn.send(kFrameHello, w.data()));
   wire::Frame reply;
   EXPECT_TRUE(conn.recv(&reply));
   return reply;
@@ -342,8 +341,9 @@ wire::Frame handshake_reply(net::FrameConn& conn, const net::Hello& hello) {
 
 TEST(WorkerAuthTest, RightKeyPassesTheChallenge) {
   TestWorker worker(worker_options(/*once=*/true, 0, "fleet-key"));
-  net::FrameConn conn(net::connect_to(worker.endpoint(), /*retries=*/5));
-  net::Hello hello;
+  FrameChannel conn(
+      net::connect_to(worker.endpoint(), /*retries=*/5).release());
+  Hello hello;
   hello.flags |= kHelloFlagAuth;
   wire::Frame challenge = handshake_reply(conn, hello);
   ASSERT_EQ(challenge.type, kFrameAuthChallenge);
@@ -353,7 +353,7 @@ TEST(WorkerAuthTest, RightKeyPassesTheChallenge) {
   ASSERT_TRUE(conn.send(kFrameAuthResponse, response.data()));
   wire::Frame reply;
   ASSERT_TRUE(conn.recv(&reply));
-  EXPECT_EQ(reply.type, net::kFrameHelloAck);
+  EXPECT_EQ(reply.type, kFrameHelloAck);
 }
 
 TEST(WorkerAuthTest, ForgedLeaseSignatureIsRefused) {
@@ -361,8 +361,9 @@ TEST(WorkerAuthTest, ForgedLeaseSignatureIsRefused) {
   // a lease the registry never signed: the worker verifies the signature
   // offline and refuses.
   TestWorker worker(worker_options(/*once=*/true, 0, "fleet-key"));
-  net::FrameConn conn(net::connect_to(worker.endpoint(), /*retries=*/5));
-  net::Hello hello;
+  FrameChannel conn(
+      net::connect_to(worker.endpoint(), /*retries=*/5).release());
+  Hello hello;
   hello.flags |= kHelloFlagAuth | kHelloFlagLease;
   hello.lease_token = 42;
   hello.lease_sig = 7;  // not lease_sig("fleet-key", 42)
@@ -374,7 +375,7 @@ TEST(WorkerAuthTest, ForgedLeaseSignatureIsRefused) {
   ASSERT_TRUE(conn.send(kFrameAuthResponse, response.data()));
   wire::Frame reply;
   ASSERT_TRUE(conn.recv(&reply));
-  ASSERT_EQ(reply.type, net::kFrameError);
+  ASSERT_EQ(reply.type, kFrameError);
   wire::Reader r(reply.payload);
   EXPECT_NE(r.str().find("lease"), std::string::npos);
 }

@@ -16,10 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/lane.h"
 #include "fleet/auth.h"
 #include "fleet/client.h"
 #include "fleet/proto.h"
-#include "net/frame.h"
 #include "net/socket.h"
 
 namespace rbx {
@@ -290,6 +290,51 @@ TEST(RegistryServerTest, KeylessPeerAgainstKeyedRegistryIsRefused) {
     EXPECT_NE(std::string(e.what()).find("auth"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(RegistryServerTest, AckThatDoesNotEchoTheHelloIsRefused) {
+  // A listener standing in for a registry acks the Hello wrongly: with
+  // another protocol number, then cut short.  The client must refuse
+  // both with a net::Error, not speak membership.
+  const auto connect_against = [](bool cut) {
+    net::Listener listener(0);
+    std::thread fake([&]() {
+      FrameChannel conn(listener.accept_client().release());
+      wire::Frame frame;
+      if (!conn.recv(&frame) || frame.type != kFrameHello) {
+        return;
+      }
+      wire::Reader r(frame.payload);
+      Hello echo = Hello::decode(r);
+      echo.protocol += 1;
+      wire::Writer w;
+      echo.encode(w);
+      std::vector<std::byte> ack = w.data();
+      if (cut) {
+        ack = frame.payload;
+        ack.pop_back();
+      }
+      conn.send(kFrameHelloAck, ack);
+      conn.recv(&frame);  // wait for the client to hang up
+    });
+    RegistryClient client(
+        client_options(net::Endpoint{"127.0.0.1", listener.port()}));
+    std::string what;
+    try {
+      client.connect();
+    } catch (const net::Error& e) {
+      what = e.what();
+    }
+    EXPECT_FALSE(client.connected());
+    client.close();
+    fake.join();
+    return what;
+  };
+  EXPECT_NE(connect_against(false).find("fleet: registry refused the "
+                                        "handshake: ack does not echo"),
+            std::string::npos);
+  EXPECT_NE(connect_against(true).find("fleet: corrupt registry reply"),
+            std::string::npos);
 }
 
 TEST(RegistryServerTest, MembershipJoinsHeartbeatsAndLeaves) {

@@ -20,10 +20,10 @@
 #include "core/backend.h"
 #include "core/dispatch.h"
 #include "core/executor.h"
+#include "core/lane.h"
 #include "core/sweep.h"
 #include "fleet/lane.h"
 #include "lane_sets.h"
-#include "net/frame.h"
 #include "net/socket.h"
 #include "net/worker.h"
 
@@ -108,14 +108,14 @@ class Relay {
       : thread_([this, target = std::move(target),
                  on_request = std::move(on_request),
                  on_answer = std::move(on_answer)]() {
-          net::FrameConn coordinator(listener_.accept_client());
+          FrameChannel coordinator(listener_.accept_client().release());
           net::Socket sock;
           try {
             sock = net::connect_to(target);
           } catch (const net::Error&) {
             return;  // closes the coordinator's connection
           }
-          net::FrameConn worker(std::move(sock));
+          FrameChannel worker(sock.release());
           std::thread answers(
               [&]() { forward(worker, coordinator, on_answer); });
           forward(coordinator, worker, on_request);
@@ -399,15 +399,15 @@ TEST(WorkerTest, CellWithoutPlanBecomesPerCellError) {
   // must surface as a clear per-cell error, not garbage results.
   TestWorker worker;
   {
-    net::FrameConn conn(
-        net::connect_to(worker.endpoint(), /*retries=*/5));
-    net::Hello hello;
+    FrameChannel conn(
+        net::connect_to(worker.endpoint(), /*retries=*/5).release());
+    Hello hello;
     wire::Writer hw;
     hello.encode(hw);
-    ASSERT_TRUE(conn.send(net::kFrameHello, hw.data()));
+    ASSERT_TRUE(conn.send(kFrameHello, hw.data()));
     wire::Frame ack;
     ASSERT_TRUE(conn.recv(&ack));
-    ASSERT_EQ(ack.type, net::kFrameHelloAck);
+    ASSERT_EQ(ack.type, kFrameHelloAck);
 
     CellBatch batch;
     batch.cells.push_back(

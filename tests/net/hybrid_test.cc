@@ -24,7 +24,6 @@
 #include "core/sweep.h"
 #include "fleet/lane.h"
 #include "lane_sets.h"
-#include "net/frame.h"
 #include "net/socket.h"
 #include "net/worker.h"
 #include "recov/journal.h"
@@ -261,7 +260,7 @@ TEST(MergeFromSocketsTest, SocketAndFileSourcesMergeBitwise) {
   // as bare frames.
   net::Listener listener(0);
   std::thread server([&]() {
-    net::FrameConn conn(listener.accept_client());
+    FrameChannel conn(listener.accept_client().release());
     std::vector<wire::Frame> records;
     records.push_back(
         recov::sweep_begin_record(0, fingerprint, cells.size(), "shard 0/2"));

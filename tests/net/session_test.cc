@@ -19,7 +19,6 @@
 #include "core/lane.h"
 #include "fleet/auth.h"
 #include "fleet/registry.h"
-#include "net/frame.h"
 #include "net/socket.h"
 #include "net/worker.h"
 
@@ -87,16 +86,16 @@ class SessionRefusalTest : public ::testing::TestWithParam<DaemonKind> {
   }
 };
 
-bool send_hello(net::FrameConn& conn, const net::Hello& hello) {
+bool send_hello(FrameChannel& conn, const Hello& hello) {
   wire::Writer w;
   hello.encode(w);
-  return conn.send(net::kFrameHello, w.data());
+  return conn.send(kFrameHello, w.data());
 }
 
 // The daemon's next frame, which must be a refusal; returns its message.
-std::string read_refusal(net::FrameConn& conn) {
+std::string read_refusal(FrameChannel& conn) {
   wire::Frame reply;
-  if (!conn.recv(&reply) || reply.type != net::kFrameError) {
+  if (!conn.recv(&reply) || reply.type != kFrameError) {
     ADD_FAILURE() << "expected a kFrameError refusal, got frame type "
                   << reply.type;
     return {};
@@ -107,8 +106,9 @@ std::string read_refusal(net::FrameConn& conn) {
 
 TEST_P(SessionRefusalTest, RefusesWireVersionMismatch) {
   const auto daemon = start();
-  net::FrameConn conn(net::connect_to(daemon->endpoint(), /*retries=*/5));
-  net::Hello hello;
+  FrameChannel conn(
+      net::connect_to(daemon->endpoint(), /*retries=*/5).release());
+  Hello hello;
   hello.wire_version = wire::kVersion + 1;
   ASSERT_TRUE(send_hello(conn, hello));
   EXPECT_NE(read_refusal(conn).find("wire version"), std::string::npos);
@@ -116,9 +116,10 @@ TEST_P(SessionRefusalTest, RefusesWireVersionMismatch) {
 
 TEST_P(SessionRefusalTest, RefusesProtocolMismatch) {
   const auto daemon = start();
-  net::FrameConn conn(net::connect_to(daemon->endpoint(), /*retries=*/5));
-  net::Hello hello;
-  hello.protocol = net::kProtocolVersion + 7;
+  FrameChannel conn(
+      net::connect_to(daemon->endpoint(), /*retries=*/5).release());
+  Hello hello;
+  hello.protocol = kProtocolVersion + 7;
   ASSERT_TRUE(send_hello(conn, hello));
   EXPECT_NE(read_refusal(conn).find("protocol"), std::string::npos);
 }
@@ -129,7 +130,8 @@ TEST_P(SessionRefusalTest, RejectsFrameBeforeHandshake) {
   // the hang-up must come from the session ending, not from daemon
   // teardown.
   const auto daemon = start(/*max_sessions=*/2);
-  net::FrameConn conn(net::connect_to(daemon->endpoint(), /*retries=*/5));
+  FrameChannel conn(
+      net::connect_to(daemon->endpoint(), /*retries=*/5).release());
   CellBatch batch;
   batch.cells.push_back(BatchCell{0, Scenario::symmetric(2, 1.0, 1.0), true,
                                   EvalPlan{{EvalStep{"analytic", ""}}}});
@@ -144,32 +146,36 @@ TEST_P(SessionRefusalTest, RejectsFrameBeforeHandshake) {
 
 TEST_P(SessionRefusalTest, RefusesPeerBeyondTheCapNotBacklogged) {
   const auto daemon = start(/*max_sessions=*/1);
-  net::FrameConn first(net::connect_to(daemon->endpoint(), /*retries=*/5));
-  ASSERT_TRUE(send_hello(first, net::Hello{}));
+  FrameChannel first(
+      net::connect_to(daemon->endpoint(), /*retries=*/5).release());
+  ASSERT_TRUE(send_hello(first, Hello{}));
   wire::Frame ack;
   ASSERT_TRUE(first.recv(&ack));
-  ASSERT_EQ(ack.type, net::kFrameHelloAck);
+  ASSERT_EQ(ack.type, kFrameHelloAck);
 
   // The session above is still open, so a second peer must get a loud
   // refusal instead of sitting in the accept backlog forever - even with
   // its Hello pipelined right behind connect(), as both the coordinator
   // and RegistryClient::connect send it, left unread by the daemon.
-  net::FrameConn second(net::connect_to(daemon->endpoint(), /*retries=*/5));
-  ASSERT_TRUE(send_hello(second, net::Hello{}));
+  FrameChannel second(
+      net::connect_to(daemon->endpoint(), /*retries=*/5).release());
+  ASSERT_TRUE(send_hello(second, Hello{}));
   EXPECT_NE(read_refusal(second).find(GetParam().cap), std::string::npos);
 }
 
 TEST_P(SessionRefusalTest, KeylessPeerIsRefusedWithAnErrorFrame) {
   const auto daemon = start(/*max_sessions=*/4, "fleet-key");
-  net::FrameConn conn(net::connect_to(daemon->endpoint(), /*retries=*/5));
-  ASSERT_TRUE(send_hello(conn, net::Hello{}));
+  FrameChannel conn(
+      net::connect_to(daemon->endpoint(), /*retries=*/5).release());
+  ASSERT_TRUE(send_hello(conn, Hello{}));
   EXPECT_NE(read_refusal(conn).find("authentication"), std::string::npos);
 }
 
 TEST_P(SessionRefusalTest, WrongKeyFailsTheChallenge) {
   const auto daemon = start(/*max_sessions=*/4, "fleet-key");
-  net::FrameConn conn(net::connect_to(daemon->endpoint(), /*retries=*/5));
-  net::Hello hello;
+  FrameChannel conn(
+      net::connect_to(daemon->endpoint(), /*retries=*/5).release());
+  Hello hello;
   hello.flags |= kHelloFlagAuth;
   ASSERT_TRUE(send_hello(conn, hello));
   wire::Frame challenge;
