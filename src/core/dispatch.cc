@@ -473,62 +473,63 @@ std::vector<CellOutcome> HybridExecutor::run(
     };
 
     // Drains complete result frames from a busy worker; false = lost.
+    // Only a frame's bytes lose the worker.  The commit hook fires after
+    // the batch is applied, outside the try, so an exception it throws (a
+    // journal append that failed) leaves run() like any other.
     const auto process_frames = [&](Slot& slot) -> bool {
       for (;;) {
         if (!slot.alive()) {
           return false;
         }
         wire::Frame frame;
+        std::string lost;  // why this frame loses the worker
+        std::vector<std::size_t> fresh;
         try {
           if (!slot.worker->channel()->pop(&frame)) {
             return true;
           }
           if (frame.type == kFrameError) {
             wire::Reader r(frame.payload);
-            lose(slot, "worker error: " + r.str());
-            return false;
-          }
-          if (frame.type != kFrameResultBatch) {
-            lose(slot,
-                 "unexpected frame type " + std::to_string(frame.type));
-            return false;
-          }
-          wire::Reader r(frame.payload);
-          ResultBatch batch = ResultBatch::decode(r);
-          r.expect_done();
-          // Streaming merge with dedup: outcomes are moved into place the
-          // moment this batch arrives - unless a thief's copy of a cell
-          // already landed.
-          // The commit hook fires exactly for the 0->1 transitions of the
-          // committed mask (a duplicate answer must not re-journal).
-          std::vector<std::size_t> fresh;
-          if (commit_hook_) {
-            for (const std::size_t index : slot.outstanding) {
-              if (committed[index] == 0) {
-                fresh.push_back(index);
+            lost = "worker error: " + r.str();
+          } else if (frame.type != kFrameResultBatch) {
+            lost = "unexpected frame type " + std::to_string(frame.type);
+          } else {
+            wire::Reader r(frame.payload);
+            ResultBatch batch = ResultBatch::decode(r);
+            r.expect_done();
+            // Streaming merge with dedup: outcomes are moved into place the
+            // moment this batch arrives - unless a thief's copy of a cell
+            // already landed.
+            // The commit hook fires exactly for the 0->1 transitions of the
+            // committed mask (a duplicate answer must not re-journal).
+            if (commit_hook_) {
+              for (const std::size_t index : slot.outstanding) {
+                if (committed[index] == 0) {
+                  fresh.push_back(index);
+                }
               }
             }
-          }
-          resolved +=
-              apply_result_batch(batch, slot.outstanding, outcomes,
-                                 &committed);
-          if (commit_hook_) {
-            for (const std::size_t index : fresh) {
-              if (committed[index] != 0) {
-                commit_hook_(index, outcomes[index]);
-              }
-            }
-          }
-          for (const std::size_t index : slot.outstanding) {
-            if (inflight[index] > 0) {
-              --inflight[index];
-            }
+            resolved += apply_result_batch(batch, slot.outstanding, outcomes,
+                                           &committed);
           }
         } catch (const wire::Error& e) {
           // apply_result_batch applies atomically - a throwing batch
           // committed nothing, so every outstanding cell re-queues.
-          lose(slot, std::string("malformed results: ") + e.what());
+          lost = std::string("malformed results: ") + e.what();
+        }
+        if (!lost.empty()) {
+          lose(slot, lost);
           return false;
+        }
+        for (const std::size_t index : fresh) {
+          if (committed[index] != 0) {
+            commit_hook_(index, outcomes[index]);
+          }
+        }
+        for (const std::size_t index : slot.outstanding) {
+          if (inflight[index] > 0) {
+            --inflight[index];
+          }
         }
         slot.outstanding.clear();
         dispatch(slot);

@@ -98,8 +98,9 @@ class HybridExecutor {
   // in cell order, bitwise identical to a serial run of the same cell_fn.
   // A throwing cell_fn is a per-cell error, not an exception.  Throws
   // std::runtime_error only for infrastructure failures (no usable
-  // workers, poll failure, a plan-needing lane without a plan function);
-  // worker loss is recovered, not thrown.
+  // workers, poll failure, a plan-needing lane without a plan function),
+  // and passes on what the commit hook throws once the lanes are
+  // finished; worker loss is recovered, not thrown.
   std::vector<CellOutcome> run(const std::vector<Scenario>& cells,
                                const CellFn& cell_fn);
 

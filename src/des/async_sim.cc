@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <limits>
 #include <memory>
 #include <thread>
 
@@ -394,34 +393,39 @@ AsyncSimResult AsyncRbSimulator::run_lines(std::size_t lines,
   result.rp_excl_final.resize(n);
   result.rp_state_changing.resize(n);
 
-  const bool on_demand = error_rate > 0.0;
-  double next_error = on_demand ? rng_.exponential(error_rate)
-                                : std::numeric_limits<double>::infinity();
   incl_scratch_.assign(steps_.size(), 0);
   state_changing_scratch_.assign(steps_.size(), 0);
   ModelObserver observer(lines, n, steps_.data(), incl_scratch_.data(),
                          state_changing_scratch_.data(), result);
-  if (lines == 0) {
-    return result;
-  }
-  if (on_demand) {
+  if (error_rate > 0.0) {
     // Error draws follow the events they pass, so each event is drawn
     // (stages 1 and 2) just before it is observed, and the line age is
     // sampled at every error instant the event passes (the error process
     // is independent of RPs and interactions) before the event can form a
-    // line.
+    // line.  The draws - each event's delay and category, the error
+    // delays - come through one block (support/rng.h), whose destructor
+    // leaves rng_ right after the last of them at every return.  The
+    // first error delay is drawn even when no line is asked for.
+    DrawBlock draws(rng_);
+    double next_error = draws.exponential(error_rate);
+    if (lines == 0) {
+      return result;
+    }
     for (;;) {
-      const double delay = rng_.exponential(table_.total());
-      const auto k = static_cast<std::uint32_t>(table_.sample(rng_));
+      const double delay = draws.exponential(table_.total());
+      const auto k = static_cast<std::uint32_t>(table_.sample(draws));
       while (next_error <= observer.t() + delay) {
         result.line_age.add(next_error - observer.line_start());
-        next_error += rng_.exponential(error_rate);
+        next_error += draws.exponential(error_rate);
       }
       // A one-event step returns 0 when the event formed a line.
       if (observer.step(&delay, &k, 1) == 0 && observer.line_formed(k)) {
         return result;
       }
     }
+  }
+  if (lines == 0) {
+    return result;
   }
   EventPipeline pipeline(rng_, table_, helpers, loan);
   for (;;) {

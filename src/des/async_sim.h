@@ -69,8 +69,9 @@
 // turn on one thread, in blocks of 256 events (the draws past the last
 // line are wasted work, so the solo block stays small).  With an error
 // process the error draws interleave with the events by time, so those
-// streams draw each event on demand and feed it through the same observer
-// step.
+// streams draw each event on demand, through a DrawBlock (support/rng.h)
+// that computes the delays' log1p a block at a time, and feed it through
+// the same observer step.
 //
 // Which block a helper takes: the newest announced one, the block the
 // observer reaches last.  Helpers then work ahead of the observer, and

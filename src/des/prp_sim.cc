@@ -100,8 +100,11 @@ PrpSimResult PrpSimulator::run(std::size_t failures) {
                          ? sim_.sync_period
                          : std::numeric_limits<double>::infinity();
 
+  // Every draw of the run goes through one block (support/rng.h), which
+  // leaves rng_ where the scalar draws would when the run returns.
+  DrawBlock draws(rng_);
   while (result.failures < failures) {
-    t += rng_.exponential(table_.total());
+    t += draws.exponential(table_.total());
     // Establish periodic synchronized lines (hybrid scheme); commits with
     // a latent error abort (their acceptance tests detect it), so those
     // sync instants are skipped.
@@ -112,14 +115,14 @@ PrpSimResult PrpSimulator::run(std::size_t failures) {
       }
       next_sync += sim_.sync_period;
     }
-    const std::size_t k = table_.sample(rng_);
+    const std::size_t k = table_.sample(draws);
 
     if (k == error_category_) {
       // One outstanding error at a time keeps local/propagated ground truth
       // unambiguous; a second fault before recovery is dropped.
       if (!error_outstanding) {
         error_outstanding = true;
-        error_origin = rng_.uniform_index(n);
+        error_origin = draws.uniform_index(n);
         contaminated_at[error_origin] = t;
       }
       continue;

@@ -19,6 +19,14 @@
 // rollback distances, affected-set sizes and domino frequency.  The
 // simulator verifies ground-truth cleanliness of every PRP restart line:
 // each restored state must predate the contamination of its process.
+//
+// Each event takes two draws, its Exp(total rate) delay and its category
+// from a CategoricalTable, and a new error's origin process one
+// uniform_index.  A run reads them all through one DrawBlock
+// (support/rng.h): every draw and the generator state the run leaves are
+// bit for bit those of drawing from the Rng one at a time.  The block
+// computes every draw's log1p up front, so a category's or an index's is
+// wasted work (~3.5 ns a draw); the delays' four-lane log1p saves more.
 #pragma once
 
 #include <cstdint>

@@ -36,6 +36,9 @@ SyncSimResult SyncRbSimulator::run(std::size_t lines) {
     total_mu += m;
   }
 
+  // Every draw of the run goes through one block (support/rng.h), which
+  // leaves rng_ where the scalar draws would when the run returns.
+  DrawBlock draws(rng_);
   SyncSimResult result;
   double t = 0.0;
   double last_line = 0.0;
@@ -60,7 +63,7 @@ SyncSimResult SyncRbSimulator::run(std::size_t lines) {
         std::size_t count = 0;
         double s = t;
         for (;;) {
-          s += rng_.exponential(total_mu);
+          s += draws.exponential(total_mu);
           if (s >= request) {
             break;
           }
@@ -77,7 +80,7 @@ SyncSimResult SyncRbSimulator::run(std::size_t lines) {
         std::size_t count = 0;
         double s = t;
         for (;;) {
-          s += rng_.exponential(total_mu);
+          s += draws.exponential(total_mu);
           if (s >= request) {
             break;
           }
@@ -91,7 +94,7 @@ SyncSimResult SyncRbSimulator::run(std::size_t lines) {
         double s = t;
         for (std::size_t count = 0; count < params_.saved_threshold;
              ++count) {
-          s += rng_.exponential(total_mu);
+          s += draws.exponential(total_mu);
         }
         request = s;
         states_between = params_.saved_threshold;
@@ -105,7 +108,7 @@ SyncSimResult SyncRbSimulator::run(std::size_t lines) {
     std::vector<double>& y = y_scratch_;
     y.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      y[i] = rng_.exponential(params_.mu[i]);
+      y[i] = draws.exponential(params_.mu[i]);
       z = std::max(z, y[i]);
     }
     for (std::size_t i = 0; i < n; ++i) {
@@ -117,7 +120,7 @@ SyncSimResult SyncRbSimulator::run(std::size_t lines) {
     if (params_.error_rate > 0.0) {
       double e = last_line;
       for (;;) {
-        e += rng_.exponential(params_.error_rate);
+        e += draws.exponential(params_.error_rate);
         if (e >= line_time) {
           break;
         }

@@ -16,6 +16,12 @@
 // (these are the "states saved" counted by strategy 3).  Optionally errors
 // are injected at a Poisson rate; under synchronized RBs recovery is always
 // to the last line, so the rollback distance is the age of that line.
+//
+// Every draw of a run is an exponential delay: the RP delays before a
+// request, each process's y_i and the error delays.  They come through one
+// DrawBlock (support/rng.h), which computes a block's log1p four lanes at
+// a time; each delay, and the generator state the run leaves, are bit for
+// bit those of Rng::exponential called draw by draw.
 #pragma once
 
 #include <cstdint>

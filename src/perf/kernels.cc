@@ -14,7 +14,8 @@
 //             thread budgets 4 and 1, the straggler also at 2, and the
 //             dispatch thread's merge of one answered 64-cell batch
 //   rng       the event pipeline's delay transform over one block:
-//             exponential_block against Rng::exponential per draw
+//             exponential_block against Rng::exponential per draw, and
+//             the same delays served one at a time by a DrawBlock
 //   des       the three simulators' inner event loops, plus the exact
 //             pairwise recovery-line observer behind ABL-LINE
 //   trace     the exact recovery-line fixpoint and the rollback analysis
@@ -516,6 +517,23 @@ void register_default_kernels(KernelRegistry& registry) {
                     for (double& d : *delay) {
                       d = rng->exponential(18.0);
                     }
+                    return delay->back();
+                  };
+                },
+                /*threads=*/1});
+
+  // The same 1,024 delays as rng_exponential, served by a DrawBlock (the
+  // simulators' per-event loops, des/sync_sim.h) and settled.
+  registry.add({"rng_draw_block", "rng",
+                [] {
+                  auto rng = std::make_shared<Rng>(0x5eed);
+                  auto delay = std::make_shared<std::vector<double>>(1024);
+                  return [rng, delay]() -> double {
+                    DrawBlock draws(*rng);
+                    for (double& d : *delay) {
+                      d = draws.exponential(18.0);
+                    }
+                    draws.settle();
                     return delay->back();
                   };
                 },

@@ -57,19 +57,7 @@ double Rng::uniform(double lo, double hi) {
 }
 
 std::uint64_t Rng::uniform_index(std::uint64_t n) {
-  RBX_CHECK(n > 0);
-  // Lemire-style rejection: accept when the 128-bit product's low half is
-  // outside the biased region.
-  const std::uint64_t threshold = (~n + 1) % n;  // (2^64 - n) mod n
-  for (;;) {
-    const std::uint64_t x = engine_.next();
-    const unsigned __int128 m =
-        static_cast<unsigned __int128>(x) * static_cast<unsigned __int128>(n);
-    const auto low = static_cast<std::uint64_t>(m);
-    if (low >= threshold) {
-      return static_cast<std::uint64_t>(m >> 64);
-    }
-  }
+  return bounded_index(n, [this] { return engine_.next(); });
 }
 
 bool Rng::bernoulli(double p) {
@@ -244,6 +232,31 @@ void exponential_block(double* values, std::size_t count, double rate) {
   for (std::size_t i = done; i < count; ++i) {
     values[i] = -std::log1p(-values[i]) / rate;
   }
+}
+
+// --- DrawBlock -------------------------------------------------------------
+
+void DrawBlock::refill() {
+  Xoshiro256StarStar& engine = rng_.engine();
+  start_ = engine;
+  for (std::size_t i = 0; i < kSize; ++i) {
+    raw_[i] = engine.next();
+    unit_[i] = static_cast<double>(raw_[i] >> 11) * 0x1.0p-53;
+  }
+  exponential_block(unit_.data(), kSize, 1.0);
+  pos_ = 0;
+}
+
+void DrawBlock::settle() {
+  if (pos_ == kSize) {
+    return;  // no block, or every draw of it served: nothing read ahead
+  }
+  Xoshiro256StarStar& engine = rng_.engine();
+  engine = start_;
+  for (std::size_t i = 0; i < pos_; ++i) {
+    engine.next();
+  }
+  pos_ = kSize;
 }
 
 std::size_t categorical_index(double unit, const double* weights,

@@ -13,12 +13,14 @@
 // The per-event draws of the simulators (next, uniform, exponential) are
 // defined inline here so the event loops in des/ can inline them, and a
 // CategoricalTable replaces the O(weights) categorical scan with an O(1)
-// lookup that returns the same index for every generator state.  Two more
-// pieces serve loops that read the stream in blocks (des/async_sim.h):
-// exponential_block turns a block of uniform() draws into
-// Rng::exponential's delays, four lanes at a time where the CPU allows,
-// bit for bit, and Xoshiro256StarStar::jump_2048 skips a block's 2048
-// steps in one jump.
+// lookup that returns the same index for every generator state.  Three more
+// pieces serve loops that read the stream in blocks: exponential_block
+// turns a block of uniform() draws into Rng::exponential's delays, four
+// lanes at a time where the CPU allows, bit for bit;
+// Xoshiro256StarStar::jump_2048 skips a block's 2048 steps in one jump
+// (both for des/async_sim.h's event pipeline); and a DrawBlock serves a
+// loop's mixed draws from a block whose delays exponential_block computed
+// up front, leaving the generator where the scalar draws would.
 #pragma once
 
 #include <array>
@@ -115,6 +117,24 @@ class Xoshiro256StarStar {
   std::array<std::uint64_t, 4> s_;
 };
 
+// The uniform index in [0, n) for raw 64-bit draws from next(): Lemire's
+// rejection rule, which accepts x when the low half of the 128-bit
+// product x * n lies outside the biased region and then returns its high
+// half.  Each attempt takes one draw.  n must be positive.
+template <typename Next>
+std::uint64_t bounded_index(std::uint64_t n, Next&& next) {
+  RBX_CHECK(n > 0);
+  const std::uint64_t threshold = (~n + 1) % n;  // (2^64 - n) mod n
+  for (;;) {
+    const std::uint64_t x = next();
+    const unsigned __int128 m =
+        static_cast<unsigned __int128>(x) * static_cast<unsigned __int128>(n);
+    if (static_cast<std::uint64_t>(m) >= threshold) {
+      return static_cast<std::uint64_t>(m >> 64);
+    }
+  }
+}
+
 // Convenience façade bundling the engine with the distribution samplers the
 // library needs.  Copyable; copies continue independent deterministic
 // streams only if the caller re-seeds, so prefer passing by reference.
@@ -133,7 +153,7 @@ class Rng {
   double uniform(double lo, double hi);
 
   // Uniform integer in [0, n).  n must be positive.  Uses rejection to avoid
-  // modulo bias.
+  // modulo bias (bounded_index above).
   std::uint64_t uniform_index(std::uint64_t n);
 
   // Exponential with given rate (mean 1/rate).  rate must be positive.
@@ -226,7 +246,11 @@ class CategoricalTable {
   // Weights must be non-negative with a positive sum.
   explicit CategoricalTable(const std::vector<double>& weights);
 
-  std::size_t sample(Rng& rng) const { return index_at(rng.next_u64() >> 11); }
+  // One draw from `rng`, an Rng or a DrawBlock (below).
+  template <typename Source>
+  std::size_t sample(Source& rng) const {
+    return index_at(rng.next_u64() >> 11);
+  }
 
   // The index for the 53-bit draw k: categorical_index(k * 2^-53, ...).
   std::size_t index_at(std::uint64_t k) const {
@@ -249,6 +273,67 @@ class CategoricalTable {
   std::vector<std::size_t> guide_;  // guide_[b]: the index at b << shift_
   unsigned shift_ = 0;
   double total_ = 0.0;
+};
+
+// Serves an Rng's draws from a block of kSize raw next() outputs whose
+// exponential transforms are computed up front by exponential_block, four
+// lanes at a time where the CPU allows: the per-event loops of des/ that
+// mix delays with other draws read through one.
+//
+// Exactness contract: every draw takes exactly one next(), in stream
+// order, and returns what the same call on the Rng would.
+//   * exponential(rate) is unit / rate, where unit is -log1p(-u) for the
+//     draw's u = (raw >> 11) * 2^-53, transformed at rate 1.0; dividing by
+//     1.0 is exact, so this is Rng::exponential's -log1p(-u) / rate bit for
+//     bit, on both of exponential_block's paths.
+//   * next_u64() is the raw draw, so CategoricalTable::sample(block) picks
+//     the index sample(rng) would;
+//   * uniform_index(n) is bounded_index over the block's raw draws, one per
+//     attempt, as Rng::uniform_index is over the engine's.
+// A draw that ends up raw or an index wastes its transform (~3.5 ns).
+//
+// The block reads up to kSize - 1 draws ahead of the last one served.
+// settle(), and the destructor (so an early return is covered), leave the
+// Rng's engine exactly where the scalar draws would: the engine saved at
+// the block's start is restored and stepped once per draw served.  The Rng
+// must not be drawn from directly while draws are read ahead.
+class DrawBlock {
+ public:
+  static constexpr std::size_t kSize = 128;
+
+  explicit DrawBlock(Rng& rng) : rng_(rng), start_(rng.engine()) {}
+  DrawBlock(const DrawBlock&) = delete;
+  DrawBlock& operator=(const DrawBlock&) = delete;
+  ~DrawBlock() { settle(); }
+
+  double exponential(double rate) {
+    RBX_CHECK(rate > 0.0);
+    return unit_[take()] / rate;
+  }
+
+  std::uint64_t next_u64() { return raw_[take()]; }
+
+  std::uint64_t uniform_index(std::uint64_t n) {
+    return bounded_index(n, [this] { return next_u64(); });
+  }
+
+  // Puts the draws read ahead back into the stream (see above).
+  void settle();
+
+ private:
+  std::size_t take() {
+    if (pos_ == kSize) {
+      refill();
+    }
+    return pos_++;
+  }
+  void refill();
+
+  Rng& rng_;
+  Xoshiro256StarStar start_;  // the engine at the block's first draw
+  std::size_t pos_ = kSize;   // the next draw served; kSize: none left
+  std::array<std::uint64_t, kSize> raw_{};
+  std::array<double, kSize> unit_{};
 };
 
 }  // namespace rbx

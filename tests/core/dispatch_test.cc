@@ -3,9 +3,10 @@
 // crashes are recovered by respawn + re-admission instead of shrinking
 // the pool, a respawned fork child never inherits a lock a thread-lane
 // worker held, and the scheduler's counters expose what recovery did.
-// The coordinator's handshake reader (core/lane.h), which the dispatch
-// loop drives for every keyed worker, is checked frame type by frame
-// type at the end.
+// A commit hook's exception leaves run() instead of losing the worker
+// whose batch it was committing.  The coordinator's handshake reader
+// (core/lane.h), which the dispatch loop drives for every keyed worker,
+// is checked frame type by frame type at the end.
 #include "core/dispatch.h"
 
 #include <signal.h>
@@ -17,6 +18,7 @@
 #include <memory>
 #include <new>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -224,6 +226,51 @@ TEST(DispatchTest, ForkRespawnWhileThreadsHoldTheAnalyticCacheNeverHangs) {
   EXPECT_GE(shared->kills.load(), 1);  // the respawn path actually ran
   EXPECT_GE(hybrid.readmitted_workers(), 1u);
   ::munmap(mem, sizeof(Shared));
+}
+
+// A commit hook that throws - a journal append that failed - must leave
+// run() with its exception, not pass for a malformed batch from the
+// worker that answered: no worker is lost or re-admitted, and no later
+// cell commits.
+void expect_hook_error_leaves_run(std::unique_ptr<Lane> lane) {
+  std::vector<std::unique_ptr<Lane>> lanes;
+  lanes.push_back(std::move(lane));
+  DispatchOptions options;
+  options.batch_size = 4;
+  HybridExecutor hybrid(std::move(lanes), options);
+  int calls = 0;
+  hybrid.set_commit_hook([&calls](std::size_t, const CellOutcome&) {
+    if (++calls == 3) {
+      throw wire::Error("append to 'journal' failed");
+    }
+  });
+  const std::vector<Scenario> cells(12, Scenario::symmetric(2, 1.0, 1.0));
+  const CellFn fn = [](const Scenario& s, std::size_t i) {
+    ResultSet out("test", s.label());
+    out.set("index", static_cast<double>(i));
+    return out;
+  };
+
+  testing::internal::CaptureStderr();
+  try {
+    hybrid.run(cells, fn);
+    ADD_FAILURE() << "run() returned after its commit hook threw";
+  } catch (const wire::Error& e) {
+    EXPECT_STREQ(e.what(), "append to 'journal' failed");
+  }
+  const std::string stderr_text = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(stderr_text.find("lost worker"), std::string::npos)
+      << stderr_text;
+  EXPECT_EQ(hybrid.readmitted_workers(), 0u);
+}
+
+TEST(DispatchTest, CommitHookErrorLeavesRunOnAThreadLane) {
+  expect_hook_error_leaves_run(std::make_unique<ThreadLane>(2));
+}
+
+TEST(DispatchTest, CommitHookErrorLeavesRunOnAForkLane) {
+  expect_hook_error_leaves_run(std::make_unique<ForkLane>(2));
 }
 
 // --- the coordinator's handshake reader ------------------------------------

@@ -8,7 +8,11 @@
 // at several thread budgets, with helpers and with a loan revoked mid-run,
 // back to back on one simulator, and on a cell that ends inside its first
 // block - those constants were recorded with the sequential per-event
-// loop before the pipeline existed.
+// loop before the pipeline existed.  The sync and PRP simulators and the
+// asynchronous error path draw through a DrawBlock (support/rng.h); the
+// cases for sync's other two strategies, back-to-back sync and PRP runs
+// on one simulator, and an error-process run of zero lines between two
+// others were recorded with scalar Rng draws before the block existed.
 //
 // The ResultSet digest is FNV-1a-64 over ResultSet::encode, the same
 // function e2ebench's correctness gate (result_digest) applies to every
@@ -26,6 +30,8 @@
 #include "core/result.h"
 #include "core/scenario.h"
 #include "des/async_sim.h"
+#include "des/prp_sim.h"
+#include "des/sync_sim.h"
 #include "model/params.h"
 #include "support/stats.h"
 #include "support/thread_loan.h"
@@ -50,8 +56,10 @@ class Fnv1a64 {
     add(static_cast<double>(s.count()));
     add(s.mean());
     add(s.variance());
-    add(s.min());
-    add(s.max());
+    if (s.count() > 0) {  // a zero-line run's are empty
+      add(s.min());
+      add(s.max());
+    }
   }
   void add(const AsyncSimResult& r) {
     add(r.interval.samples());
@@ -61,6 +69,33 @@ class Fnv1a64 {
       add(r.rp_state_changing[i]);
     }
     add(r.line_age.samples());
+  }
+  void add(const SyncSimResult& r) {
+    add(r.max_wait);
+    add(r.loss);
+    add(r.line_spacing);
+    add(r.states_per_line);
+    add(r.rollback_distance.samples());
+    add(r.loss_rate);
+    add(r.total_loss);
+    add(r.total_time);
+  }
+  void add(const PrpSimResult& r) {
+    add(r.prp_distance.samples());
+    add(r.prp_affected);
+    add(r.prp_iterations);
+    add(r.async_distance.samples());
+    add(r.async_affected);
+    add(static_cast<double>(r.async_domino_count));
+    add(static_cast<double>(r.failures));
+    add(static_cast<double>(r.contaminated_restarts));
+    add(r.snapshots_per_unit_time);
+    add(r.rp_per_unit_time);
+    add(r.recording_time_fraction);
+    add(r.horizon);
+    add(r.hybrid_distance.samples());
+    add(static_cast<double>(r.hybrid_sync_restores));
+    add(static_cast<double>(r.sync_lines_established));
   }
   std::uint64_t value() const { return h_; }
 
@@ -180,6 +215,17 @@ TEST(ResultDigest, AsyncEarlyFinishInsideTheFirstBlock) {
   }
 }
 
+TEST(ResultDigest, AsyncWithErrorsZeroLineRunStillDraws) {
+  // run_lines(0, rate) draws the first error delay before it finds no
+  // line to simulate, so the run after it starts one draw later.
+  AsyncRbSimulator sim(ProcessSetParams::symmetric(4, 1.0, 0.7), 86);
+  Fnv1a64 h;
+  h.add(sim.run_lines(50, 0.3));
+  h.add(sim.run_lines(0, 0.3));
+  h.add(sim.run_lines(40, 0.3));
+  EXPECT_EQ(h.value(), 0x5084a83c2a4074e9ULL);
+}
+
 TEST(ResultDigest, AsyncStreams) {
   EXPECT_EQ(mc_digest(Scenario::symmetric(3, 1.0, 0.5)
                           .error_rate(0.1)
@@ -197,6 +243,71 @@ TEST(ResultDigest, Sync) {
                           .seed(79)
                           .samples(20000)),
             0x0744d4a000c3414cULL);
+}
+
+TEST(ResultDigest, SyncConstantIntervalAndSavedStatesWithErrors) {
+  // The default strategy is pinned above; these two draw their requests
+  // differently (a timer, a fixed count of RPs).
+  SyncPolicy timer;
+  timer.strategy = SyncStrategy::kConstantInterval;
+  timer.interval = 0.7;
+  SyncPolicy saved;
+  saved.strategy = SyncStrategy::kSavedStates;
+  saved.saved_threshold = 5;
+  const Scenario cell = Scenario::from_mu({1.0, 1.2, 0.8, 1.1})
+                            .scheme(SchemeKind::kSynchronized)
+                            .error_rate(0.5)
+                            .seed(83)
+                            .samples(20000);
+  EXPECT_EQ(mc_digest(Scenario(cell).sync_policy(timer)),
+            0xfa4d0e14f813392aULL);
+  EXPECT_EQ(mc_digest(Scenario(cell).sync_policy(saved)),
+            0x68cb1b8f02db4e9aULL);
+}
+
+TEST(ResultDigest, SyncBackToBackRunsContinueTheStream) {
+  // Runs of 37, 0, 500 and 1 lines on one simulator: each must leave the
+  // engine right after its last draw.
+  SyncSimParams params;
+  params.mu = {1.0, 1.2, 0.8, 1.1, 0.9};
+  params.error_rate = 0.4;
+  const struct {
+    SyncStrategy strategy;
+    std::uint64_t digest;
+  } cases[] = {{SyncStrategy::kConstantInterval, 0x90bdd5bba6b0411fULL},
+               {SyncStrategy::kElapsedTime, 0x78bd7837dc0a7380ULL},
+               {SyncStrategy::kSavedStates, 0xeed9b918c654e8a7ULL}};
+  for (const auto& c : cases) {
+    params.strategy = c.strategy;
+    SyncRbSimulator sim(params, 84);
+    Fnv1a64 h;
+    for (std::size_t lines : {37u, 0u, 500u, 1u}) {
+      h.add(sim.run(lines));
+    }
+    EXPECT_EQ(h.value(), c.digest)
+        << "strategy " << static_cast<int>(c.strategy);
+  }
+}
+
+TEST(ResultDigest, PrpBackToBackRunsContinueTheStream) {
+  // Runs of 300, 0, 1 and 700 failures on one simulator, plain and
+  // hybrid: each must leave the engine right after its last draw.
+  const struct {
+    double sync_period;
+    std::uint64_t digest;
+  } cases[] = {{0.0, 0x6875826049ee7b36ULL}, {2.0, 0x29ebd0cd9cde702fULL}};
+  for (const auto& c : cases) {
+    PrpSimParams sim_params;
+    sim_params.t_record = 1e-3;
+    sim_params.error_rate = 0.25;
+    sim_params.sync_period = c.sync_period;
+    PrpSimulator sim(ProcessSetParams::symmetric(3, 1.0, 1.0), sim_params, 85);
+    Fnv1a64 h;
+    for (std::size_t failures : {300u, 0u, 1u, 700u}) {
+      h.add(sim.run(failures));
+    }
+    EXPECT_EQ(h.value(), c.digest) << "sync period " << c.sync_period;
+  }
 }
 
 TEST(ResultDigest, PrpOneStream) {

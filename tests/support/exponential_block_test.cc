@@ -11,6 +11,15 @@
 // The cases run where the port runs (exponential_block_vectorized()).
 // Elsewhere exponential_block is std::log1p in a loop, the reference
 // itself, and the fixture skips; CI fails if it skips on x86-64.
+//
+// The DrawBlock cases at the end check the block that serves des/'s
+// per-event loops against an Rng with the same seed: mixed sequences of
+// delays at several rates, raw draws, categoricals and high-rejection
+// uniform indices over several blocks, each draw bit for bit, and the
+// engine left where the scalar draws leave it after settle() mid-block
+// and at block ends, and after the destructor on an early return.  Their
+// contract holds on both of exponential_block's paths, so they run
+// everywhere.
 #include "support/rng.h"
 
 #include <algorithm>
@@ -257,6 +266,140 @@ TEST_F(ExponentialBlockPort, ShortBlocksFromUnalignedStarts) {
               << " rate " << rate;
         }
       }
+    }
+  }
+}
+
+// --- DrawBlock -------------------------------------------------------------
+
+constexpr std::size_t kDrawBlock = DrawBlock::kSize;
+
+// One draw of every kind the simulators make, chosen by `kind`, taken
+// through `source` (an Rng or a DrawBlock); returns its bits.
+template <typename Source>
+std::uint64_t mixed_draw(Source& source, const CategoricalTable& table,
+                         std::uint64_t kind) {
+  constexpr double kRates[] = {1.0, 18.0, 0.3, 1e-3, 7.5};
+  constexpr std::uint64_t kIndexBounds[] = {
+      1, 3, 1000, (std::uint64_t{1} << 63) + 1, ~std::uint64_t{0}};
+  switch (kind % 4) {
+    case 0:
+      return std::bit_cast<std::uint64_t>(
+          source.exponential(kRates[(kind / 4) % 5]));
+    case 1:
+      return source.next_u64();
+    case 2:
+      return table.sample(source);
+    default:
+      // 2^63 + 1 rejects about half its attempts.
+      return source.uniform_index(kIndexBounds[(kind / 4) % 5]);
+  }
+}
+
+CategoricalTable event_table() {
+  return CategoricalTable({1.0, 0.4, 2.5, 0.0, 0.7, 0.05});
+}
+
+TEST(DrawBlock, MixedDrawsEqualTheRngsDrawForDraw) {
+  const CategoricalTable table = event_table();
+  for (std::uint64_t seed : {31u, 32u, 33u}) {
+    Rng scalar(seed);
+    Rng blocked(seed);
+    Rng chooser(seed + 100);
+    {
+      DrawBlock draws(blocked);
+      // Over ten blocks, and more with the index draws' rejections.
+      for (std::size_t i = 0; i < 10 * kDrawBlock; ++i) {
+        const std::uint64_t kind = chooser.next_u64() >> 40;
+        ASSERT_EQ(mixed_draw(draws, table, kind),
+                  mixed_draw(scalar, table, kind))
+            << "seed " << seed << " draw " << i << " kind " << kind % 4;
+      }
+    }
+    EXPECT_TRUE(blocked.engine() == scalar.engine()) << "seed " << seed;
+  }
+}
+
+TEST(DrawBlock, EveryDrawKindAloneOverSeveralBlocks) {
+  // Runs of one kind cross every block end: an index of 2^63 + 1 then
+  // rejects across a refill, and each rate's delays span whole blocks.
+  const CategoricalTable table = event_table();
+  for (std::uint64_t kind = 0; kind < 20; ++kind) {
+    Rng scalar(40 + kind);
+    Rng blocked(40 + kind);
+    {
+      DrawBlock draws(blocked);
+      for (std::size_t i = 0; i < 3 * kDrawBlock + 5; ++i) {
+        ASSERT_EQ(mixed_draw(draws, table, kind),
+                  mixed_draw(scalar, table, kind))
+            << "kind " << kind << " draw " << i;
+      }
+    }
+    EXPECT_TRUE(blocked.engine() == scalar.engine()) << "kind " << kind;
+  }
+}
+
+TEST(DrawBlock, SettleLeavesTheScalarEngine) {
+  // settle() after c draws, mid-block and at block ends; then the block
+  // keeps serving from the settled engine, and settles again.
+  for (std::size_t c : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                        kDrawBlock - 1, kDrawBlock, kDrawBlock + 1,
+                        2 * kDrawBlock - 1, 2 * kDrawBlock,
+                        2 * kDrawBlock + 1, 3 * kDrawBlock + 7}) {
+    Rng scalar(50);
+    Rng blocked(50);
+    DrawBlock draws(blocked);
+    for (std::size_t i = 0; i < c; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(draws.exponential(2.0)),
+                std::bit_cast<std::uint64_t>(scalar.exponential(2.0)));
+    }
+    draws.settle();
+    EXPECT_TRUE(blocked.engine() == scalar.engine()) << "after " << c;
+    // Settling twice changes nothing.
+    draws.settle();
+    EXPECT_TRUE(blocked.engine() == scalar.engine()) << "after " << c;
+    for (std::size_t i = 0; i < c + 3; ++i) {
+      ASSERT_EQ(draws.next_u64(), scalar.next_u64())
+          << "after " << c << ", draw " << i << " past the settle";
+    }
+    draws.settle();
+    EXPECT_TRUE(blocked.engine() == scalar.engine())
+        << "second settle after " << 2 * c + 3;
+    // The Rng itself continues the stream once settled.
+    EXPECT_EQ(blocked.next_u64(), scalar.next_u64());
+  }
+}
+
+// The draws before the first delay above `stop`, counted through a
+// DrawBlock that the return from inside the loop leaves to its destructor.
+std::size_t blocked_count_until(Rng& rng, double stop) {
+  DrawBlock draws(rng);
+  for (std::size_t i = 0;; ++i) {
+    if (draws.exponential(1.5) > stop) {
+      return i;
+    }
+  }
+}
+
+std::size_t scalar_count_until(Rng& rng, double stop) {
+  for (std::size_t i = 0;; ++i) {
+    if (rng.exponential(1.5) > stop) {
+      return i;
+    }
+  }
+}
+
+TEST(DrawBlock, DestructorSettlesOnAnEarlyReturn) {
+  // Returns after ~1, ~90 and ~8,000 draws: mid-block, and blocks later.
+  for (double stop : {0.5, 3.0, 6.0}) {
+    Rng scalar(60);
+    Rng blocked(60);
+    for (int run = 0; run < 5; ++run) {
+      EXPECT_EQ(blocked_count_until(blocked, stop),
+                scalar_count_until(scalar, stop))
+          << "stop " << stop << " run " << run;
+      EXPECT_TRUE(blocked.engine() == scalar.engine())
+          << "stop " << stop << " run " << run;
     }
   }
 }
