@@ -183,15 +183,14 @@ PrpSimResult PrpSimulator::run(std::size_t failures) {
     }
 
     // AT passes: RP recorded, implantation requests broadcast, every other
-    // process snapshots a PRP after its recording delay.
+    // process snapshots a PRP after its recording delay - all at one time,
+    // so the RP's pseudo recovery line is one record.  A lone process has
+    // no line, and its clamp must not advance.
     history.add_recovery_point(p, clamp(t));
     ++rp_count;
-    const std::size_t seq = history.rp_count(p);
-    for (std::size_t q = 0; q < n; ++q) {
-      if (q != p) {
-        history.add_pseudo_recovery_point(q, clamp(t + sim_.t_record), p,
-                                          seq);
-      }
+    if (n > 1) {
+      history.add_pseudo_recovery_line(p, clamp(t + sim_.t_record),
+                                       history.rp_count(p));
     }
   }
 

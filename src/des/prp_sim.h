@@ -4,7 +4,9 @@
 // The simulator generates the Section 2.1 stochastic process (RPs at mu_i,
 // pairwise interactions at lambda_ij), implants a PRP in every other
 // process after each RP (the paper's implantation algorithm, with recording
-// time t_r), and injects errors at a Poisson rate.  Error semantics:
+// time t_r), and injects errors at a Poisson rate.  The n-1 PRPs of one RP
+// share one time, so the History keeps them as one pseudo recovery line
+// (History::add_pseudo_recovery_line), not n-1 records.  Error semantics:
 //
 //  * an error arises in one process and contaminates it from that moment;
 //  * every interaction involving a contaminated party contaminates the

@@ -16,6 +16,7 @@
 //   rng       the event pipeline's delay transform over one block:
 //             exponential_block against Rng::exponential per draw, and
 //             the same delays served one at a time by a DrawBlock
+//   stats     the p95 a PRP cell reads from its merged distance samples
 //   des       the three simulators' inner event loops, plus the exact
 //             pairwise recovery-line observer behind ABL-LINE
 //   trace     the exact recovery-line fixpoint and the rollback analysis
@@ -74,6 +75,7 @@
 #include "runtime/recovery_block.h"
 #include "runtime/serializable.h"
 #include "support/rng.h"
+#include "support/stats.h"
 #include "support/wire.h"
 #include "trace/history.h"
 #include "trace/recovery_line.h"
@@ -538,6 +540,22 @@ void register_default_kernels(KernelRegistry& registry) {
                   };
                 },
                 /*threads=*/1});
+
+  // --- stats ------------------------------------------------------------
+  // The p95 of 50,000 samples, the size of mc_streams' large PRP cell's
+  // merged prp_distance and async_distance.  quantile() reorders its set,
+  // so every rep copies the unqueried set first (a 400 KB copy).
+  registry.add({"stats_quantile", "stats", [] {
+                  auto samples = std::make_shared<SampleSet>();
+                  Rng rng(0x5eed);
+                  for (int i = 0; i < 50000; ++i) {
+                    samples->add(rng.exponential(1.0));
+                  }
+                  return [samples]() -> double {
+                    const SampleSet fresh = *samples;
+                    return fresh.quantile(0.95);
+                  };
+                }});
 
   // --- des --------------------------------------------------------------
   registry.add({"des_async_lines", "des", [] {

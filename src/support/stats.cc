@@ -70,36 +70,34 @@ double RunningStats::ci_half_width(double z) const {
 
 void SampleSet::add(double x) {
   samples_.push_back(x);
-  sorted_ = false;
   stats_.add(x);
 }
 
 void SampleSet::merge(const SampleSet& other) {
   samples_.insert(samples_.end(), other.samples_.begin(),
                   other.samples_.end());
-  if (!other.samples_.empty()) {
-    sorted_ = false;
-  }
   stats_.merge(other.stats_);
 }
 
 double SampleSet::quantile(double q) const {
   RBX_CHECK(!samples_.empty());
   RBX_CHECK(q >= 0.0 && q <= 1.0);
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
   if (samples_.size() == 1) {
     return samples_[0];
   }
   const double pos = q * static_cast<double>(samples_.size() - 1);
   const auto idx = static_cast<std::size_t>(pos);
+  // Order statistics idx and idx + 1, the two a sorted copy would hold at
+  // those positions: nth_element leaves every later sample no smaller than
+  // the idx-th, so the next is their minimum.
+  const auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(idx);
+  std::nth_element(samples_.begin(), nth, samples_.end());
   if (idx + 1 >= samples_.size()) {
-    return samples_.back();
+    return *nth;
   }
+  const double next = *std::min_element(nth + 1, samples_.end());
   const double frac = pos - static_cast<double>(idx);
-  return samples_[idx] * (1.0 - frac) + samples_[idx + 1] * frac;
+  return *nth * (1.0 - frac) + next * frac;
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

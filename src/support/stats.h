@@ -52,7 +52,7 @@ class SampleSet {
   // via the pairwise Chan et al. update (RunningStats::merge), so the
   // merged mean/variance are numerically stable regardless of how the
   // samples were partitioned.  Order statistics are exact either way -
-  // quantile() sorts the union.
+  // quantile() selects from the union.
   void merge(const SampleSet& other);
 
   std::size_t count() const { return samples_.size(); }
@@ -66,14 +66,18 @@ class SampleSet {
   }
 
   // Exact sample quantile (linear interpolation between order statistics);
-  // q in [0, 1].  Requires at least one sample.
+  // q in [0, 1].  Requires at least one sample.  Selects the two order
+  // statistics it reads (std::nth_element, O(N) per call) instead of
+  // sorting, and returns bit for bit what interpolating over a sorted
+  // copy would, wherever equal samples have equal bits (0.0 and -0.0 do
+  // not).  It reorders the samples in place.
   double quantile(double q) const;
 
+  // The samples in insertion order, until a quantile() call reorders them.
   const std::vector<double>& samples() const { return samples_; }
 
  private:
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
   RunningStats stats_;
 };
 

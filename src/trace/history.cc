@@ -1,6 +1,8 @@
 #include "trace/history.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "support/check.h"
 
@@ -64,7 +66,7 @@ double RecoveryLine::max_time() const {
 History::History(std::size_t num_processes)
     : n_(num_processes), rp_times_(num_processes),
       pair_interactions_(num_processes * (num_processes + 1) / 2),
-      prps_(num_processes) {
+      prps_(num_processes), line_times_(num_processes) {
   RBX_CHECK(num_processes >= 1);
 }
 
@@ -93,6 +95,23 @@ void History::add_pseudo_recovery_point(ProcessId p, double time,
   prps_[p].push_back({owner, owner_rp_seq, time});
 }
 
+void History::add_pseudo_recovery_line(ProcessId owner, double time,
+                                       std::size_t owner_rp_seq) {
+  RBX_CHECK(owner < n_);
+  RBX_CHECK_MSG(time >= last_time_, "events must be time-ordered");
+  std::vector<double>& times = line_times_[owner];
+  RBX_CHECK_MSG(owner_rp_seq >= 1 && owner_rp_seq == rp_times_[owner].size(),
+                "a pseudo recovery line follows its owner's newest RP");
+  RBX_CHECK_MSG(times.size() < owner_rp_seq, "one line per RP");
+  if (n_ == 1) {
+    return;
+  }
+  last_time_ = time;
+  times.resize(owner_rp_seq - 1, std::numeric_limits<double>::quiet_NaN());
+  times.push_back(time);
+  line_owners_.push_back(owner);
+}
+
 void History::add_interaction(ProcessId a, ProcessId b, double time) {
   RBX_CHECK_MSG(time >= last_time_, "events must be time-ordered");
   last_time_ = time;
@@ -108,6 +127,21 @@ std::vector<TraceEvent> History::events() const {
     }
   }
   for (ProcessId p = 0; p < n_; ++p) {
+    // Walks the lines in append order; next[o] is the index into
+    // line_times_[o] of owner o's next line, past the NaN of RPs with none.
+    std::vector<std::size_t> next(n_, 0);
+    for (const ProcessId owner : line_owners_) {
+      const std::vector<double>& times = line_times_[owner];
+      std::size_t& i = next[owner];
+      while (std::isnan(times[i])) {
+        ++i;
+      }
+      if (owner != p) {
+        out.push_back(
+            {EventKind::kPseudoRecoveryPoint, times[i], p, owner, i + 1});
+      }
+      ++i;
+    }
     for (const PrpRecord& r : prps_[p]) {
       out.push_back({EventKind::kPseudoRecoveryPoint, r.time, p, r.owner,
                      r.owner_rp_seq});
@@ -162,11 +196,16 @@ std::optional<RestartPoint> History::latest_rp_before(ProcessId p,
 std::optional<RestartPoint> History::prp_for(ProcessId p, ProcessId owner,
                                              std::size_t owner_rp_seq) const {
   RBX_CHECK(p < n_);
-  // A PRP list holds every PRP implanted in p (the simulator never purges:
-  // ~430k per process in a 50,000-failure run at n=3), but the planner asks
-  // about the pointer's recent RPs, whose PRPs sit near the back; scanning
-  // from the back finds them after a few entries, and the newest match
-  // first.
+  if (p != owner && owner < n_) {
+    const std::vector<double>& times = line_times_[owner];
+    if (owner_rp_seq >= 1 && owner_rp_seq <= times.size() &&
+        !std::isnan(times[owner_rp_seq - 1])) {
+      return RestartPoint{times[owner_rp_seq - 1], false, true, owner_rp_seq};
+    }
+  }
+  // p's own list is never purged, but the planner asks about the pointer's
+  // recent RPs, whose PRPs sit near the back; scanning from the back finds
+  // them after a few entries, and the newest match first.
   const auto& list = prps_[p];
   for (auto it = list.rbegin(); it != list.rend(); ++it) {
     if (it->owner == owner && it->owner_rp_seq == owner_rp_seq) {

@@ -5,7 +5,8 @@
 // all stamped with a global time.  The exact recovery-line finder, the
 // rollback-propagation analyzer and the PRP planner all operate on this
 // representation; both the discrete-event simulator and the thread runtime
-// emit it.
+// emit it.  The simulator records each RP's PRPs as one pseudo recovery
+// line; the runtime records each PRP at the time its process took it.
 #pragma once
 
 #include <cstddef>
@@ -60,19 +61,32 @@ class History {
 
   // Events must be appended in non-decreasing time order.
   void add_recovery_point(ProcessId p, double time);
+  // One PRP, recorded by process p at its own time (the thread runtime's
+  // event log): kept in p's own list.
   void add_pseudo_recovery_point(ProcessId p, double time, ProcessId owner,
                                  std::size_t owner_rp_seq);
+  // The pseudo recovery line of the owner's RP owner_rp_seq, which must be
+  // the owner's newest RP and have no line yet: every other process
+  // records its PRP at the one `time` (the paper's PRL_k^j).  Observably
+  // the n-1 calls add_pseudo_recovery_point(q, time, owner, owner_rp_seq),
+  // q != owner in ascending order, but stored as one time: per owner,
+  // keyed by owner_rp_seq.  With one process there is no member: the call
+  // checks its arguments and records nothing.
+  void add_pseudo_recovery_line(ProcessId owner, double time,
+                                std::size_t owner_rp_seq);
   void add_interaction(ProcessId a, ProcessId b, double time);
 
   // Every event as one time-ordered list.  The list is not stored: each
-  // call derives it from the per-process and per-pair indices below (the
-  // only copy of each event) and stable-sorts it by time, O(E log E) time
-  // and O(E) memory for E events - meant for export and tests, not hot
-  // paths.  Where event times are distinct this is the append order.  Events
-  // sharing a time come RPs first, then PRPs, then interactions; RPs and
-  // PRPs by process, interactions by pair, each in append order.  An
-  // interaction is listed with its lower process id as `process` and the
-  // higher one as `peer`, whichever order add_interaction received them in.
+  // call derives it from the per-process, per-line and per-pair indices
+  // below (the only copy of each event) and stable-sorts it by time,
+  // O(E log E) time and O(E) memory for E events - meant for export and
+  // tests, not hot paths.  Where event times are distinct this is the
+  // append order.  Events sharing a time come RPs first, then PRPs, then
+  // interactions; RPs and PRPs by process, interactions by pair, each in
+  // append order.  A process's line members are listed as its own PRPs
+  // would be, and before them if a history holds both.  An interaction is
+  // listed with its lower process id as `process` and the higher one as
+  // `peer`, whichever order add_interaction received them in.
   std::vector<TraceEvent> events() const;
   double last_time() const { return last_time_; }
 
@@ -95,7 +109,9 @@ class History {
   std::optional<RestartPoint> latest_rp_before(ProcessId p, double time) const;
 
   // The PRP implanted in process p for the owner's RP with sequence seq;
-  // nullopt if it was never implanted.
+  // nullopt if it was never implanted.  A line member answers in O(1);
+  // otherwise p's own list is scanned from its newest entry, where the
+  // pointer's recent RPs have theirs, and the newest match answers.
   std::optional<RestartPoint> prp_for(ProcessId p, ProcessId owner,
                                       std::size_t owner_rp_seq) const;
 
@@ -124,6 +140,10 @@ class History {
     double time;
   };
   std::vector<std::vector<PrpRecord>> prps_;             // per process
+  // Pseudo recovery lines: per owner, each line's time at owner_rp_seq - 1
+  // (NaN where that RP has no line), and the owners in append order.
+  std::vector<std::vector<double>> line_times_;
+  std::vector<ProcessId> line_owners_;
 };
 
 }  // namespace rbx

@@ -13,6 +13,9 @@
 // cases for sync's other two strategies, back-to-back sync and PRP runs
 // on one simulator, and an error-process run of zero lines between two
 // others were recorded with scalar Rng draws before the block existed.
+// The PRP cases that are scoped, five-process hybrid and mc_streams'
+// 50,000-failure cell were recorded while the PRP simulator still wrote
+// each pseudo recovery line as n-1 single PRPs and quantiles sorted.
 //
 // The ResultSet digest is FNV-1a-64 over ResultSet::encode, the same
 // function e2ebench's correctness gate (result_digest) applies to every
@@ -33,6 +36,7 @@
 #include "des/prp_sim.h"
 #include "des/sync_sim.h"
 #include "model/params.h"
+#include "support/rng.h"
 #include "support/stats.h"
 #include "support/thread_loan.h"
 #include "support/wire.h"
@@ -333,6 +337,50 @@ TEST(ResultDigest, PrpFourStreams) {
                         budget),
               0xc0069390f29c3b40ULL)
         << "budget " << budget;
+  }
+}
+
+TEST(ResultDigest, PrpScoped) {
+  // affects_everyone = false: a restore pulls in only the processes that
+  // interacted with the rollback pointer since its restored RP.
+  EXPECT_EQ(mc_digest(Scenario::symmetric(4, 1.0, 0.5)
+                          .scheme(SchemeKind::kPseudoRecoveryPoints)
+                          .t_record(1e-3)
+                          .error_rate(0.5)
+                          .scoped_prp(true)
+                          .seed(87)
+                          .samples(3000)),
+            0xb18bf86882e828e3ULL);
+}
+
+TEST(ResultDigest, PrpFiveProcessesHybrid) {
+  // Four PRPs per pseudo recovery line, and a synchronized line every 1.5.
+  EXPECT_EQ(mc_digest(Scenario::symmetric(5, 1.0, 0.4)
+                          .scheme(SchemeKind::kPseudoRecoveryPoints)
+                          .t_record(1e-3)
+                          .error_rate(0.4)
+                          .prp_sync_period(1.5)
+                          .seed(88)
+                          .samples(3000)),
+            0x3b25523e67df200aULL);
+}
+
+TEST(ResultDigest, PrpMcStreamsCell) {
+  // e2ebench's mc_streams 50,000-failure PRP cell at --seed 1: the
+  // workload seeds its six cells from one SplitMix64, this cell last.
+  SplitMix64 seeds(1);
+  for (int i = 0; i < 5; ++i) {
+    seeds.next();
+  }
+  const Scenario cell = Scenario::symmetric(3, 1.0, 1.0)
+                            .scheme(SchemeKind::kPseudoRecoveryPoints)
+                            .t_record(1e-4)
+                            .error_rate(0.25)
+                            .seed(seeds.next())
+                            .samples(50000)
+                            .streams(4);
+  for (std::size_t budget : {1u, 4u}) {
+    EXPECT_EQ(mc_digest(cell, budget), 0x94cce6cc83cfd879ULL) << "budget " << budget;
   }
 }
 

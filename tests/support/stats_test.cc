@@ -1,9 +1,14 @@
 #include "support/stats.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "support/rng.h"
 
 namespace rbx {
 namespace {
@@ -149,7 +154,7 @@ TEST(SampleSet, MergeWithEmptySides) {
 }
 
 TEST(SampleSet, MergeAfterQuantileSortKeepsMomentsExact) {
-  // quantile() sorts the sample buffer lazily; a merge after that must
+  // quantile() reorders the sample buffer; a merge after that must
   // still produce moments identical to a merge before it (the stats
   // accumulator is add-time state, not recomputed from the buffer).
   SampleSet sorted_first, untouched, rhs;
@@ -165,6 +170,78 @@ TEST(SampleSet, MergeAfterQuantileSortKeepsMomentsExact) {
   EXPECT_DOUBLE_EQ(sorted_first.mean(), untouched.mean());
   EXPECT_DOUBLE_EQ(sorted_first.variance(), untouched.variance());
   EXPECT_DOUBLE_EQ(sorted_first.quantile(0.25), untouched.quantile(0.25));
+}
+
+// The quantile rule over a sorted copy: linear interpolation between the
+// order statistics at floor(q (N - 1)) and the one after it.
+double sorted_copy_quantile(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  if (samples.size() == 1) {
+    return samples[0];
+  }
+  const double pos = q * static_cast<double>(samples.size() - 1);
+  const auto idx = static_cast<std::size_t>(pos);
+  if (idx + 1 >= samples.size()) {
+    return samples.back();
+  }
+  const double frac = pos - static_cast<double>(idx);
+  return samples[idx] * (1.0 - frac) + samples[idx + 1] * frac;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Five values, so a set of any size is mostly ties.
+double tied_value(Rng& rng) {
+  static constexpr double kValues[] = {0.0, 0.125, 1.0, 3.75, 1e6};
+  return kValues[rng.uniform_index(5)];
+}
+
+// quantile() selects its two order statistics in place; every call must
+// return the bits interpolation over a sorted copy returns, whatever order
+// earlier calls, adds and merges left the samples in.
+TEST(SampleSet, QuantileSelectionEqualsSortedCopyBitwise) {
+  const std::vector<double> qs = {0.0,  1e-12, 0.25,          0.5,
+                                  0.95, 1.0 - 1e-12, 1.0};
+  Rng rng(0x9a7e);
+  for (const std::size_t size : {1u, 2u, 3u, 4u, 1001u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      SampleSet s;
+      std::vector<double> added;
+      for (std::size_t i = 0; i < size; ++i) {
+        added.push_back(tied_value(rng));
+        s.add(added.back());
+      }
+      std::vector<double> order = qs;
+      for (int round = 0; round < 3; ++round) {
+        for (std::size_t i = order.size() - 1; i > 0; --i) {
+          std::swap(order[i], order[rng.uniform_index(i + 1)]);
+        }
+        for (const double q : order) {
+          EXPECT_EQ(bits(s.quantile(q)), bits(sorted_copy_quantile(added, q)))
+              << "size " << size << " q " << q;
+        }
+      }
+
+      // Adds and a merge after quantiles: the next calls see the union.
+      for (int i = 0; i < 3; ++i) {
+        added.push_back(tied_value(rng));
+        s.add(added.back());
+      }
+      SampleSet other;
+      for (std::size_t i = 0; i < size; ++i) {
+        other.add(tied_value(rng));
+      }
+      (void)other.quantile(0.5);
+      added.insert(added.end(), other.samples().begin(),
+                   other.samples().end());
+      s.merge(other);
+      ASSERT_EQ(s.count(), added.size());
+      for (const double q : qs) {
+        EXPECT_EQ(bits(s.quantile(q)), bits(sorted_copy_quantile(added, q)))
+            << "size " << size << " q " << q << " after add and merge";
+      }
+    }
+  }
 }
 
 TEST(Histogram, MergeSumsBinsAndTails) {

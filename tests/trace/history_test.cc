@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "support/rng.h"
+#include "trace/prp_plan.h"
+#include "trace/rollback.h"
 
 namespace rbx {
 namespace {
@@ -236,6 +240,149 @@ TEST(History, EventsAtOneTimeListRpsThenPrpsThenInteractions) {
   EXPECT_EQ(events[5].peer, 2u);
 }
 
+// Twin histories of one simulated run: `lines` records each RP's pseudo
+// recovery line with one add_pseudo_recovery_line call, `singles` with the
+// n - 1 add_pseudo_recovery_point calls it stands for.  Times are whole or
+// half units that often repeat, so ties between RPs, PRPs and
+// interactions are common; some RPs get no line at all.  Events start
+// after time 0, the time of the processes' initial states.
+struct Twins {
+  History lines;
+  History singles;
+};
+
+Twins simulated_twins(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Twins h{History(n), History(n)};
+  double t = 0.5;
+  double cursor = 0.0;
+  const auto clamp = [&cursor](double time) {
+    cursor = std::max(cursor, time);
+    return cursor;
+  };
+  const std::size_t events = 40 + rng.uniform_index(160);
+  for (std::size_t e = 0; e < events; ++e) {
+    if (rng.bernoulli(0.6)) {
+      t += 0.5;
+    }
+    if (n == 1 || rng.bernoulli(0.45)) {
+      const ProcessId p = rng.uniform_index(n);
+      const double rp_time = clamp(t);
+      h.lines.add_recovery_point(p, rp_time);
+      h.singles.add_recovery_point(p, rp_time);
+      if (rng.bernoulli(0.15)) {
+        continue;  // an RP whose line was never recorded
+      }
+      const std::size_t seq = h.lines.rp_count(p);
+      const double line_time = clamp(t + 0.5 * rng.uniform_index(3));
+      h.lines.add_pseudo_recovery_line(p, line_time, seq);
+      for (ProcessId q = 0; q < n; ++q) {
+        if (q != p) {
+          h.singles.add_pseudo_recovery_point(q, line_time, p, seq);
+        }
+      }
+    } else {
+      const ProcessId a = rng.uniform_index(n);
+      const ProcessId b = (a + 1 + rng.uniform_index(n - 1)) % n;
+      const double time = clamp(t);
+      h.lines.add_interaction(a, b, time);
+      h.singles.add_interaction(a, b, time);
+    }
+  }
+  return h;
+}
+
+void expect_same_point(const RestartPoint& x, const RestartPoint& y) {
+  EXPECT_EQ(x.time, y.time);
+  EXPECT_EQ(x.is_initial, y.is_initial);
+  EXPECT_EQ(x.is_pseudo, y.is_pseudo);
+  EXPECT_EQ(x.rp_seq, y.rp_seq);
+}
+
+// A line is observably the n - 1 single PRPs it stands for: the same
+// events, PRP lookups, PRP rollback plans (both scopes, with and without
+// affects_everyone) and asynchronous rollback analyses.
+TEST(History, PseudoRecoveryLineEqualsItsSinglePrps) {
+  for (const std::size_t n : {1u, 2u, 3u, 5u}) {
+    for (std::uint64_t trial = 0; trial < 12; ++trial) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " trial " << trial);
+      const Twins h = simulated_twins(n, 0x11e5 + 97 * n + trial);
+      EXPECT_EQ(h.lines.last_time(), h.singles.last_time());
+
+      const std::vector<TraceEvent> x = h.lines.events();
+      const std::vector<TraceEvent> y = h.singles.events();
+      ASSERT_EQ(x.size(), y.size());
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(x[i].kind, y[i].kind) << "event " << i;
+        EXPECT_EQ(x[i].time, y[i].time) << "event " << i;
+        EXPECT_EQ(x[i].process, y[i].process) << "event " << i;
+        EXPECT_EQ(x[i].peer, y[i].peer) << "event " << i;
+        EXPECT_EQ(x[i].rp_seq, y[i].rp_seq) << "event " << i;
+      }
+
+      for (ProcessId q = 0; q < n; ++q) {
+        for (ProcessId owner = 0; owner < n; ++owner) {
+          for (std::size_t seq = 0; seq <= h.lines.rp_count(owner) + 1;
+               ++seq) {
+            const auto a = h.lines.prp_for(q, owner, seq);
+            const auto b = h.singles.prp_for(q, owner, seq);
+            ASSERT_EQ(a.has_value(), b.has_value())
+                << "prp_for(" << q << ", " << owner << ", " << seq << ")";
+            if (a) {
+              expect_same_point(*a, *b);
+            }
+          }
+        }
+      }
+
+      std::vector<double> failure_times;
+      for (double t_f = 0.0; t_f <= h.lines.last_time() + 1.0; t_f += 0.25) {
+        failure_times.push_back(t_f);
+      }
+      const RollbackAnalyzer async_x(h.lines);
+      const RollbackAnalyzer async_y(h.singles);
+      for (const bool everyone : {true, false}) {
+        const PrpRollbackPlanner plan_x(h.lines, everyone);
+        const PrpRollbackPlanner plan_y(h.singles, everyone);
+        for (const ErrorScope scope :
+             {ErrorScope::kLocal, ErrorScope::kPropagated}) {
+          for (ProcessId p = 0; p < n; ++p) {
+            for (const double t_f : failure_times) {
+              const PrpRollbackResult a = plan_x.plan(p, t_f, scope);
+              const PrpRollbackResult b = plan_y.plan(p, t_f, scope);
+              ASSERT_EQ(a.restart.size(), b.restart.size());
+              for (ProcessId q = 0; q < n; ++q) {
+                expect_same_point(a.restart[q], b.restart[q]);
+              }
+              EXPECT_EQ(a.affected, b.affected);
+              EXPECT_EQ(a.affected_count, b.affected_count);
+              EXPECT_EQ(a.iterations, b.iterations);
+              EXPECT_EQ(a.rollback_distance, b.rollback_distance);
+              EXPECT_EQ(a.distance, b.distance);
+              EXPECT_EQ(a.domino_to_start, b.domino_to_start);
+            }
+          }
+        }
+      }
+      for (ProcessId p = 0; p < n; ++p) {
+        for (const double t_f : failure_times) {
+          const RollbackResult a = async_x.analyze_failure(p, t_f);
+          const RollbackResult b = async_y.analyze_failure(p, t_f);
+          ASSERT_EQ(a.line.points.size(), b.line.points.size());
+          for (ProcessId q = 0; q < n; ++q) {
+            expect_same_point(a.line.points[q], b.line.points[q]);
+          }
+          EXPECT_EQ(a.affected, b.affected);
+          EXPECT_EQ(a.affected_count, b.affected_count);
+          EXPECT_EQ(a.rollback_distance, b.rollback_distance);
+          EXPECT_EQ(a.distance, b.distance);
+          EXPECT_EQ(a.domino_to_start, b.domino_to_start);
+        }
+      }
+    }
+  }
+}
+
 TEST(History, RecoveryLineTimeSpan) {
   RecoveryLine line;
   line.points = {RestartPoint{1.0, false, false, 1},
@@ -249,6 +396,23 @@ TEST(HistoryDeathTest, RejectsOutOfOrderEvents) {
   History h(2);
   h.add_recovery_point(0, 5.0);
   EXPECT_DEATH(h.add_recovery_point(1, 4.0), "time-ordered");
+}
+
+// The line call checks what add_pseudo_recovery_point checks (owner in
+// range, time order), and that it is the first line of the owner's newest
+// RP.
+TEST(HistoryDeathTest, PseudoRecoveryLineChecksItsRp) {
+  History h(3);
+  EXPECT_DEATH(h.add_pseudo_recovery_line(0, 1.0, 0), "newest RP");
+  h.add_recovery_point(0, 1.0);
+  h.add_recovery_point(0, 2.0);
+  EXPECT_DEATH(h.add_pseudo_recovery_line(3, 2.0, 1), "");
+  EXPECT_DEATH(h.add_pseudo_recovery_line(0, 2.0, 1), "newest RP");
+  EXPECT_DEATH(h.add_pseudo_recovery_line(0, 2.0, 3), "newest RP");
+  EXPECT_DEATH(h.add_pseudo_recovery_line(1, 2.0, 0), "newest RP");
+  EXPECT_DEATH(h.add_pseudo_recovery_line(0, 1.5, 2), "time-ordered");
+  h.add_pseudo_recovery_line(0, 2.5, 2);
+  EXPECT_DEATH(h.add_pseudo_recovery_line(0, 2.5, 2), "one line per RP");
 }
 
 TEST(HistoryDeathTest, RejectsSelfInteraction) {
